@@ -102,7 +102,7 @@ def run_table1(fast: bool = True, seed: int = 0,
     train_classifier(model, data, config)
     sw = mc_accuracy(mc_predict(model, data.x_test,
                                 n_samples=config.mc_samples), data.y_test)
-    deployed = BayesianCim(model, _deploy_config(seed))
+    deployed = BayesianCim(model, _deploy_config(seed), seed=seed)
     dep = mc_accuracy(deployed.mc_forward(x_eval, config.mc_samples), y_eval)
     e_measured = _mlp_energy_measured(deployed, x_eval, config.mc_samples)
     e_paper, _ = method_energy_per_image(spec, "spindrop")
@@ -123,7 +123,8 @@ def run_table1(fast: bool = True, seed: int = 0,
         sw = mc_accuracy(mc_predict(cnn, data_img.x_test,
                                     n_samples=config.mc_samples),
                          data_img.y_test)
-        deployed_cnn = BayesianCim(cnn, _deploy_config(seed + 1))
+        deployed_cnn = BayesianCim(cnn, _deploy_config(seed + 1),
+                                   seed=seed + 1)
         n_cnn_eval = 100 if fast else 500
         dep = mc_accuracy(
             deployed_cnn.mc_forward(data_img.x_test[:n_cnn_eval],
@@ -144,7 +145,8 @@ def run_table1(fast: bool = True, seed: int = 0,
     train_classifier(model, data, config, scale_reg_strength=1e-3)
     sw = mc_accuracy(mc_predict(model, data.x_test,
                                 n_samples=config.mc_samples), data.y_test)
-    deployed = BayesianCim(model, _deploy_config(seed + 2))
+    deployed = BayesianCim(model, _deploy_config(seed + 2),
+                           seed=seed + 2)
     dep = mc_accuracy(deployed.mc_forward(x_eval, config.mc_samples), y_eval)
     e_measured = _mlp_energy_measured(deployed, x_eval, config.mc_samples)
     e_paper, _ = method_energy_per_image(spec, "scaledrop")
@@ -157,7 +159,7 @@ def run_table1(fast: bool = True, seed: int = 0,
     train_classifier(vi, data, config, loss_kind="elbo")
     sw = mc_accuracy(mc_predict(vi, data.x_test,
                                 n_samples=config.mc_samples), data.y_test)
-    deployed = BayesianCim(vi, _deploy_config(seed + 3))
+    deployed = BayesianCim(vi, _deploy_config(seed + 3), seed=seed + 3)
     dep = mc_accuracy(deployed.mc_forward(x_eval, config.mc_samples), y_eval)
     e_measured = _mlp_energy_measured(deployed, x_eval, config.mc_samples)
     e_paper, _ = method_energy_per_image(spec, "subset_vi")

@@ -17,11 +17,15 @@ feature (``controlplane=``, ``registry=``, ``max_pending_rows=``,
   the coroutine flavor (``await submit``/``predict``, ``await
   aclose()``, ``async with``).
 
-The underlying constructors remain public and unchanged — ``serve`` is
-a convenience roof, not a wall.  Legacy keyword arguments from earlier
-releases (``controlplane=``, ``registry=``, ``max_pending_rows=``,
-``flush_interval=``) are still accepted directly by :func:`serve` with
-a :class:`DeprecationWarning`; move them into :class:`ServingConfig`.
+Every backend drives the same batching core: the ``"sync"``,
+``"threads"`` and ``"procs"`` front-ends are a
+:class:`BatchScheduler`-family scheduler driven by its own blocking
+tickets and timer thread, and ``"async"`` puts the asyncio driver
+(:class:`AsyncBatchScheduler`) over a :class:`BatchScheduler`.  The
+underlying constructors remain public — ``serve`` is a convenience
+roof, not a wall.  Every knob lives on :class:`ServingConfig`; if a
+build step fails, ``serve`` releases what it already started (worker
+processes, shared memory, a temporary snapshot) before raising.
 
 >>> with serve(snapshot_path, backend="procs", config=ServingConfig(
 ...         n_samples=32, replicas=4)) as frontend:
@@ -34,7 +38,6 @@ import dataclasses
 import os
 import shutil
 import tempfile
-import warnings
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.serving.async_frontend import AsyncBatchScheduler
@@ -43,15 +46,6 @@ from repro.serving.scheduler import BatchScheduler
 from repro.serving.sharded import ShardedScheduler
 
 __all__ = ["Frontend", "ServingConfig", "serve"]
-
-# serve() kwargs accepted for one release with a DeprecationWarning,
-# mapped to their ServingConfig field.
-_LEGACY_KWARGS = {
-    "controlplane": "controlplane",
-    "registry": "registry",
-    "max_pending_rows": "max_pending_rows",
-    "flush_interval": "flush_interval",
-}
 
 
 @dataclasses.dataclass
@@ -68,7 +62,6 @@ class ServingConfig:
     chunk_passes: Optional[int] = None
     feature_shape: Optional[tuple] = None
     flush_interval: Optional[float] = None
-    max_retained_results: int = 1024
 
     # -- multi-tenancy / SLO machinery (all backends) ------------------
     registry: Optional[object] = None
@@ -95,7 +88,6 @@ class ServingConfig:
             n_samples=self.n_samples, max_batch=self.max_batch,
             chunk_passes=self.chunk_passes,
             feature_shape=self.feature_shape,
-            max_retained_results=self.max_retained_results,
             flush_interval=self.flush_interval, registry=self.registry,
             default_model=self.default_model, metrics=self.metrics,
             admission=self.admission, controlplane=self.controlplane)
@@ -164,7 +156,8 @@ class _SyncFrontend:
         return self.scheduler.metrics
 
     def close(self) -> None:
-        self.scheduler.close()
+        if self.scheduler is not None:
+            self.scheduler.close()
         if self.pool is not None:
             self.pool.close()
         if self._owned_tempdir is not None:
@@ -256,7 +249,8 @@ def _resolve_source(model_or_snapshot, config: ServingConfig):
 
 
 def _engine_factory(kind: str, value):
-    """A build-one-replica callable for the in-process backends."""
+    """A build-one-replica callable for the in-process backends (any
+    source kind but ``"registry"``)."""
     from repro.cim.snapshot import DeploymentSnapshot
 
     if kind == "path":
@@ -266,14 +260,13 @@ def _engine_factory(kind: str, value):
         return value.build
     if kind == "factory":
         return value
-    if kind == "engine":
-        def rebuild(engine=value):
-            # Replicating a live engine goes through capture so every
-            # replica continues the same stream positions (the
-            # bit-exactness contract snapshots pin).
-            return DeploymentSnapshot.capture(engine).build()
-        return rebuild
-    raise ValueError(f"no engine factory for source kind {kind!r}")
+
+    def rebuild(engine=value):
+        # Replicating a live engine goes through capture so every
+        # replica continues the same stream positions (the
+        # bit-exactness contract snapshots pin).
+        return DeploymentSnapshot.capture(engine).build()
+    return rebuild
 
 
 def _proc_sources(kind: str, value):
@@ -289,12 +282,8 @@ def _proc_sources(kind: str, value):
         return ("snapshot", value), None
     if kind == "factory":
         return ("factory", value), None
-    if kind == "snapshot":
-        snapshot = value
-    elif kind == "engine":
-        snapshot = DeploymentSnapshot.capture(value)
-    else:
-        raise ValueError(f"no procpool source for kind {kind!r}")
+    snapshot = value if kind == "snapshot" \
+        else DeploymentSnapshot.capture(value)
     tempdir = tempfile.mkdtemp(prefix="repro-serve-")
     path = os.path.join(tempdir, "snapshot")
     snapshot.save(path)
@@ -306,8 +295,7 @@ def _proc_sources(kind: str, value):
 # ----------------------------------------------------------------------
 def serve(model_or_snapshot=None, *,
           backend: str = "sync",
-          config: Optional[ServingConfig] = None,
-          **legacy) -> object:
+          config: Optional[ServingConfig] = None) -> object:
     """Build a serving stack and return its :class:`Frontend`.
 
     Parameters
@@ -316,7 +304,8 @@ def serve(model_or_snapshot=None, *,
         A live batched-MC engine, a
         :class:`~repro.cim.snapshot.DeploymentSnapshot` (or a path to
         a saved one), a zero-arg engine factory, or ``None`` to serve
-        purely from ``config.registry``/``config.default_model``.
+        purely from ``config.registry``/``config.default_model``
+        (``"sync"`` and ``"async"`` only).
     backend:
         ``"sync"`` — one engine, one :class:`BatchScheduler`;
         ``"threads"`` — ``config.replicas`` in-process replicas under a
@@ -328,38 +317,31 @@ def serve(model_or_snapshot=None, *,
         ``"async"`` — an :class:`AsyncBatchScheduler` coroutine
         front-end (returns the async :class:`Frontend` flavor).
     config:
-        A :class:`ServingConfig`; defaults apply when omitted.
-    **legacy:
-        ``controlplane=``, ``registry=``, ``max_pending_rows=``,
-        ``flush_interval=`` are accepted for one release with a
-        :class:`DeprecationWarning` and folded into ``config``.
+        A :class:`ServingConfig`; defaults apply when omitted.  It is
+        read, never modified.
     """
-    config = dataclasses.replace(config) if config is not None \
-        else ServingConfig()
-    for key in list(legacy):
-        field = _LEGACY_KWARGS.get(key)
-        if field is None:
-            raise TypeError(f"serve() got an unexpected keyword "
-                            f"argument {key!r}")
-        warnings.warn(
-            f"serve({key}=...) is deprecated; set ServingConfig."
-            f"{field} instead", DeprecationWarning, stacklevel=2)
-        setattr(config, field, legacy.pop(key))
-
+    if config is None:
+        config = ServingConfig()
     kind, value = _resolve_source(model_or_snapshot, config)
+    if backend in ("threads", "procs") and kind == "registry":
+        raise ValueError(
+            f"backend={backend!r} replicates one model; serve a "
+            "registry through backend='sync' or 'async', or pass the "
+            "model to replicate explicitly")
 
-    if backend == "sync":
+    if backend in ("sync", "async"):
         engine = None if kind == "registry" \
             else _engine_factory(kind, value)()
         scheduler = BatchScheduler(engine, **config.scheduler_kwargs())
-        return _SyncFrontend("sync", scheduler)
+        if backend == "sync":
+            return _SyncFrontend("sync", scheduler)
+        # The async driver owns the flush cadence and backpressure;
+        # it shares the scheduler's metrics collector.
+        return _AsyncFrontend(AsyncBatchScheduler(
+            scheduler, flush_interval=config.flush_interval,
+            max_pending_rows=config.max_pending_rows))
 
     if backend == "threads":
-        if kind == "registry":
-            raise ValueError(
-                "backend='threads' replicates one model; serve a "
-                "registry through backend='sync' or 'async', or pass "
-                "the model to replicate explicitly")
         factory = _engine_factory(kind, value)
         engines = [factory() for _ in range(config.replicas)]
         scheduler = ShardedScheduler(engines, parallel=config.parallel,
@@ -367,38 +349,20 @@ def serve(model_or_snapshot=None, *,
         return _SyncFrontend("threads", scheduler)
 
     if backend == "procs":
-        if kind == "registry":
-            pool = ProcReplicaPool.from_registry(
-                config.registry, workers=config.replicas,
-                slots=config.slots, slot_bytes=config.slot_bytes,
-                start_method=config.start_method)
-            tempdir = None
-        else:
-            source, tempdir = _proc_sources(kind, value)
-            pool = ProcReplicaPool(
+        source, tempdir = _proc_sources(kind, value)
+        frontend = _SyncFrontend("procs", None, owned_tempdir=tempdir)
+        try:
+            frontend.pool = ProcReplicaPool(
                 {None: source}, workers=config.replicas,
                 slots=config.slots, slot_bytes=config.slot_bytes,
                 start_method=config.start_method)
-        scheduler = ShardedScheduler(pool.replicas,
-                                     parallel=config.parallel,
-                                     **config.scheduler_kwargs())
-        return _SyncFrontend("procs", scheduler, pool=pool,
-                             owned_tempdir=tempdir)
-
-    if backend == "async":
-        engine = None if kind == "registry" \
-            else _engine_factory(kind, value)()
-        inner_kwargs = config.scheduler_kwargs()
-        # The async front-end owns the flush cadence and the metrics
-        # collector; the inner scheduler keeps the batching knobs.
-        inner_kwargs.pop("flush_interval")
-        inner_kwargs.pop("metrics")
-        scheduler = BatchScheduler(engine, **inner_kwargs)
-        frontend = AsyncBatchScheduler(
-            scheduler, flush_interval=config.flush_interval,
-            max_pending_rows=config.max_pending_rows,
-            metrics=config.metrics)
-        return _AsyncFrontend(frontend)
+            frontend.scheduler = ShardedScheduler(
+                frontend.pool.replicas, parallel=config.parallel,
+                **config.scheduler_kwargs())
+        except BaseException:
+            frontend.close()
+            raise
+        return frontend
 
     raise ValueError(
         f"unknown backend {backend!r}: expected 'sync', 'threads', "

@@ -1,14 +1,16 @@
 """Async serving front-end over the batch schedulers.
 
-:class:`AsyncBatchScheduler` is the third front-end over the request
-coalescing machinery (after the synchronous
-:class:`~repro.serving.scheduler.BatchScheduler` and the threaded
-:class:`~repro.serving.sharded.ShardedScheduler`): it drives either
-of them from an :mod:`asyncio` event loop.
+:class:`AsyncBatchScheduler` is a thin :mod:`asyncio` driver over the
+one batching core, a :class:`~repro.serving.scheduler.BatchScheduler`
+or :class:`~repro.serving.sharded.ShardedScheduler`.  Requests go
+into the core's queue, flushes run the core's flush body, and
+cancellations go through the core's withdraw path; what this module
+adds is the event-loop side:
 
 - ``await submit(x)`` / ``await predict(x)`` coroutines replace the
-  blocking ticket API; results arrive as resolved futures — no
-  polling, and no ``result()``-forced flushes.
+  blocking ticket API; a ticket awaits the core's future through
+  :func:`asyncio.wrap_future` — no polling, and no
+  ``result()``-forced flushes.
 - Deadline flushes are scheduled with ``loop.call_later`` instead of
   the synchronous scheduler's timer thread, so an idle service holds
   zero extra threads.
@@ -21,36 +23,30 @@ of them from an :mod:`asyncio` event loop.
   (queued *plus* in-flight).  ``await submit`` suspends when the
   bound is hit and resumes as capacity frees; a cancelled request
   releases its rows immediately.
-- Observability and scaling: every flush feeds a
-  :class:`~repro.serving.metrics.LoadMetrics` collector, and an
-  optional :class:`~repro.serving.autoscale.Autoscaler` is stepped
-  after each flush, growing/shrinking a sharded inner scheduler's
-  replica set under load.
+- Observability and scaling: the core records every flush group in
+  one :class:`~repro.serving.metrics.LoadMetrics` collector shared
+  with this front-end, and an optional
+  :class:`~repro.serving.autoscale.Autoscaler` is stepped after each
+  flush, growing/shrinking a sharded core's replica set under load.
 
-The inner scheduler is used purely as the *flush engine* (its
-validation, grouping, sharding, and error-isolation hooks); its own
-pending queue, deadline timer, and retained-result cache stay empty.
-Do not submit to it directly while an async front-end owns it.
+The core's own flush triggers (``max_batch`` in its ``submit`` and its
+deadline timer thread) belong to the synchronous driver: a queue
+filled through this front-end never arms them.  Drive one core from
+one front-end at a time.
 """
 
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Deque, Dict, List, Optional
+from typing import Deque, List, Optional
 
 from repro.bayesian.base import PredictiveResult
 from repro.serving.autoscale import Autoscaler
 from repro.serving.errors import ResultTimeout
 from repro.serving.metrics import LoadMetrics
-from repro.serving.scheduler import (
-    BatchScheduler,
-    SchedulerStats,
-    _FailedResult,
-    _Request,
-)
+from repro.serving.scheduler import BatchScheduler, SchedulerStats, _Request
 
 
 class AsyncPrediction:
@@ -59,14 +55,15 @@ class AsyncPrediction:
     ``await ticket`` (or ``await ticket.result()``) yields the
     request's :class:`~repro.bayesian.base.PredictiveResult`, raising
     the engine's original exception if its flush failed.
-    :meth:`cancel` abandons a queued request and frees its
-    backpressure slot immediately.  A ``deadline_s`` passed at submit
-    bounds :meth:`result`: past it the request is cancelled and
+    :meth:`cancel` abandons the request and frees its backpressure
+    slot immediately.  A ``deadline_s`` passed at submit bounds
+    :meth:`result`: past it the request is withdrawn and
     :class:`~repro.serving.errors.ResultTimeout` raised — the same
-    error type the sync ticket uses.
+    error, under the same expiry rule, as the sync ticket.
     """
 
-    __slots__ = ("_future", "n_rows", "n_samples", "_deadline")
+    __slots__ = ("_future", "n_rows", "n_samples", "_deadline",
+                 "_expired")
 
     def __init__(self, future: "asyncio.Future", n_rows: int,
                  n_samples: int, deadline: Optional[float] = None):
@@ -74,6 +71,7 @@ class AsyncPrediction:
         self.n_rows = n_rows
         self.n_samples = n_samples
         self._deadline = deadline          # absolute loop time, or None
+        self._expired = False
 
     def done(self) -> bool:
         """True once resolved (result, failure, or cancellation)."""
@@ -95,44 +93,44 @@ class AsyncPrediction:
         Raises
         ------
         ResultTimeout
-            The submit-time ``deadline_s`` expired first; the request
-            is cancelled (its backpressure slot freed, its admission
-            accounting reconciled).
+            The submit-time ``deadline_s`` expired first (and on any
+            retry); the request is withdrawn (its backpressure slot
+            freed, its admission accounting reconciled).
         asyncio.CancelledError
             If the ticket was cancelled.
         Exception
             The original engine exception, if the flush serving this
             request failed.
         """
-        if self._deadline is None:
-            return await self._future
-        loop = asyncio.get_running_loop()
-        remaining = self._deadline - loop.time()
-        try:
-            return await asyncio.wait_for(
-                asyncio.shield(self._future), max(remaining, 1e-9))
-        except asyncio.TimeoutError:
-            self._future.cancel()
+        if self._deadline is not None and not self._expired:
+            remaining = self._deadline - asyncio.get_running_loop().time()
+            try:
+                return await asyncio.wait_for(
+                    asyncio.shield(self._future), max(remaining, 1e-9))
+            except asyncio.TimeoutError:
+                self._expired = True
+                self._future.cancel()
+        if self._expired:
             raise ResultTimeout(
-                "request missed its deadline_s and was withdrawn"
-            ) from None
+                "request missed its deadline_s and was withdrawn")
+        return await self._future
 
     def __await__(self):
         return self._future.__await__()
 
 
 class AsyncBatchScheduler:
-    """Asyncio front-end coalescing requests over a sync scheduler.
+    """Asyncio driver over one batching core.
 
     Parameters
     ----------
     scheduler:
-        The flush engine: a :class:`~repro.serving.scheduler.
+        The batching core: a :class:`~repro.serving.scheduler.
         BatchScheduler` or :class:`~repro.serving.sharded.
         ShardedScheduler` (the latter adds replica fan-out and is
         what the autoscaler controls).  Its ``max_batch``,
-        ``feature_shape``, and per-request ``n_samples`` semantics
-        apply unchanged.
+        ``feature_shape``, admission and per-request ``n_samples``
+        semantics apply unchanged.
     flush_interval:
         Deadline in seconds for the oldest queued request, enforced
         with ``loop.call_later`` (no timer thread).  When ``None``
@@ -149,12 +147,14 @@ class AsyncBatchScheduler:
         A request larger than the bound is accepted when the queue is
         idle (mirroring the oversized-request rule of ``max_batch``).
     metrics:
-        Load collector fed by every flush; created automatically when
-        omitted.
+        The load collector every flush feeds.  The core records each
+        group once, so the front-end and the core share one
+        collector: ``metrics`` when given, else the core's, else the
+        autoscaler's, else a new one.  The core (and an autoscaler
+        without a collector) adopt it.
     autoscaler:
         Optional replica policy, stepped after each flush with the
-        live queue depth.  When it lacks a metrics source it adopts
-        this front-end's collector.
+        live queue depth.
     executor:
         Worker pool for engine calls; defaults to a private
         single-thread pool (flushes are serialized anyway — see the
@@ -164,7 +164,8 @@ class AsyncBatchScheduler:
     ------
     ValueError
         For a non-positive ``flush_interval`` or
-        ``max_pending_rows``.
+        ``max_pending_rows``, or an autoscaler that reads a different
+        collector than the one the flushes feed.
     """
 
     def __init__(self, scheduler: BatchScheduler, *,
@@ -179,33 +180,35 @@ class AsyncBatchScheduler:
             max_pending_rows = 4 * scheduler.max_batch
         if max_pending_rows < 1:
             raise ValueError("max_pending_rows must be positive")
+        if metrics is None:
+            metrics = scheduler.metrics
+        if metrics is None and autoscaler is not None:
+            metrics = autoscaler.metrics
+        if metrics is None:
+            metrics = LoadMetrics()
+        if autoscaler is not None:
+            if autoscaler.metrics not in (None, metrics):   # by identity
+                raise ValueError(
+                    "the autoscaler reads a different LoadMetrics than "
+                    "the one this front-end's flushes feed; share one")
+            autoscaler.metrics = metrics
         self.scheduler = scheduler
         self.max_batch = scheduler.max_batch
         self.flush_interval = flush_interval
         self.max_pending_rows = max_pending_rows
-        if metrics is None and autoscaler is not None \
-                and autoscaler.metrics is not None:
-            metrics = autoscaler.metrics     # share one collector
-        self.metrics = metrics if metrics is not None else LoadMetrics()
+        self.metrics = scheduler.metrics = metrics
         self.autoscaler = autoscaler
-        if autoscaler is not None and autoscaler.metrics is None:
-            autoscaler.metrics = self.metrics
-        self.stats = SchedulerStats()
         self._own_executor = executor is None
         self._executor = executor if executor is not None else \
             ThreadPoolExecutor(max_workers=1, thread_name_prefix="mc-flush")
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._flush_lock: Optional[asyncio.Lock] = None
-        self._pending: List[_Request] = []
-        self._pending_rows = 0
         self._used_rows = 0                      # queued + in-flight
-        self._futures: Dict[int, asyncio.Future] = {}
         self._waiters: Deque[asyncio.Future] = deque()
         self._flush_tasks: set = set()
         self._background: set = set()            # spare replenishment
         self._deadline_handle: Optional[asyncio.TimerHandle] = None
         self._idle_handle: Optional[asyncio.Handle] = None
-        self._next_seq = 0
         self._closed = False
         # A failing autoscaler policy (e.g. an engine factory that
         # raises) must not take serving down; the last error is kept
@@ -214,14 +217,19 @@ class AsyncBatchScheduler:
 
     # ------------------------------------------------------------------
     @property
+    def stats(self) -> SchedulerStats:
+        """The core's counters (requests, flushes, timeouts, ...)."""
+        return self.scheduler.stats
+
+    @property
     def pending_rows(self) -> int:
         """Rows queued for the next flush."""
-        return self._pending_rows
+        return self.scheduler.pending_rows
 
     @property
     def in_flight_rows(self) -> int:
         """Rows admitted past backpressure but not yet resolved."""
-        return self._used_rows - self._pending_rows
+        return self._used_rows - self.pending_rows
 
     def _bind_loop(self) -> asyncio.AbstractEventLoop:
         loop = asyncio.get_running_loop()
@@ -244,10 +252,10 @@ class AsyncBatchScheduler:
         ``x`` is ``(n, …features)`` or a single ``(…features,)``
         sample; ``n_samples`` overrides the scheduler default for
         this request only; ``model`` routes to a registered model of
-        the inner scheduler's registry (grouped by (model, T) at
-        flush, like the sync front-ends); ``feature_shape`` pins the
-        route's per-sample shape; ``deadline_s`` bounds the ticket's
-        ``result()`` wait (expiry cancels the request and raises
+        the core's registry (grouped by (model, T) at flush, like the
+        sync front-ends); ``feature_shape`` pins the route's
+        per-sample shape; ``deadline_s`` bounds the ticket's
+        ``result()`` wait (expiry withdraws the request and raises
         :class:`~repro.serving.errors.ResultTimeout`).  Returns an
         awaitable :class:`AsyncPrediction`.
 
@@ -260,40 +268,33 @@ class AsyncBatchScheduler:
             For the same invalid requests :meth:`BatchScheduler.
             submit` rejects.
         AdmissionRejected
-            When the inner scheduler carries an admission controller
-            and this request trips its queue bound or overload
-            watermark.  The check runs *before* the backpressure
-            wait: a rejected request fails fast instead of queueing
-            behind the very backlog that triggered the rejection.
+            When the core carries an admission controller and this
+            request trips its queue bound or overload watermark.  The
+            check runs *before* the backpressure wait: a rejected
+            request fails fast instead of queueing behind the very
+            backlog that triggered the rejection.
         """
         if self._closed:
             raise RuntimeError("scheduler is closed")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive (or None)")
         loop = self._bind_loop()
-        x, n_samples, model_id = self.scheduler._normalize_request(
+        core = self.scheduler
+        x, n_samples, model_id = core._normalize_request(
             x, n_samples, model, feature_shape)
         rows = x.shape[0]
-        if self.scheduler.admission is not None:
-            self.scheduler.admission.admit(
-                rows, self._pending_rows,
-                p95_supplier=self.metrics.p95_latency_s)
+        if core.admission is not None:
+            core.admission.admit(rows, core.pending_rows,
+                                 core._observed_p95)
         await self._acquire_rows(rows)
         if self._closed:                 # closed while suspended
             self._release_rows(rows)
             raise RuntimeError("scheduler is closed")
-        seq = self._next_seq
-        self._next_seq += 1
-        future: asyncio.Future = loop.create_future()
-        self._futures[seq] = future
-        self._pending.append(_Request(seq, x, n_samples, model_id))
-        self._pending_rows += rows
-        self.stats.requests += 1
-        self.stats.rows += rows
+        request = core._enqueue(x, n_samples, model_id)
+        future = asyncio.wrap_future(request.future, loop=loop)
         future.add_done_callback(
-            lambda f, seq=seq, rows=rows: self._on_request_done(seq, rows))
-        self.metrics.observe_queue_depth(self._pending_rows)
-        if self._pending_rows >= self.max_batch:
+            lambda f: self._on_request_done(f, request))
+        if core.pending_rows >= self.max_batch:
             self._start_flush()
         elif self.flush_interval is not None:
             if self._deadline_handle is None:
@@ -303,17 +304,20 @@ class AsyncBatchScheduler:
             # No deadline configured: flush when the loop finishes
             # the current tick, after every concurrently-scheduled
             # submit has joined the batch.
-            self._idle_handle = loop.call_soon(self._idle_fire)
+            self._idle_handle = loop.call_soon(self._start_flush)
         deadline = (loop.time() + deadline_s if deadline_s is not None
                     else None)
         return AsyncPrediction(future, rows, n_samples, deadline)
 
     async def predict(self, x, n_samples: Optional[int] = None,
-                      model: Optional[str] = None) -> PredictiveResult:
+                      model: Optional[str] = None, *,
+                      feature_shape: Optional[tuple] = None,
+                      deadline_s: Optional[float] = None
+                      ) -> PredictiveResult:
         """Submit one request and wait for its predictive result.
 
-        Equivalent to ``await (await submit(x, n_samples, model))``;
-        raises whatever :meth:`submit` or the ticket would raise.
+        Takes :meth:`submit`'s arguments and raises whatever
+        :meth:`submit` or the ticket's ``result()`` would raise.
 
         The wait resolves when a flush runs — at ``max_batch`` rows,
         at the ``flush_interval`` deadline (or the next loop tick
@@ -322,7 +326,9 @@ class AsyncBatchScheduler:
         awaiting never *forces* a flush: concurrent ``predict`` calls
         coalesce instead of racing each other's batches.
         """
-        ticket = await self.submit(x, n_samples=n_samples, model=model)
+        ticket = await self.submit(x, n_samples, model,
+                                   feature_shape=feature_shape,
+                                   deadline_s=deadline_s)
         return await ticket.result()
 
     async def flush(self) -> int:
@@ -331,11 +337,8 @@ class AsyncBatchScheduler:
         Returns the number of requests flushed by *this* call.
         """
         self._bind_loop()
-        n_requests = len(self._pending)
         task = self._start_flush()
-        if task is not None:
-            await task
-        return n_requests
+        return await task if task is not None else 0
 
     async def drain(self) -> None:
         """Wait until every queued and in-flight request resolves.
@@ -345,7 +348,7 @@ class AsyncBatchScheduler:
         traffic this only returns at a genuine gap.
         """
         self._bind_loop()
-        while self._pending or self._flush_tasks:
+        while self.pending_rows or self._flush_tasks:
             self._start_flush()
             if self._flush_tasks:
                 await asyncio.gather(*list(self._flush_tasks),
@@ -362,7 +365,8 @@ class AsyncBatchScheduler:
         self._closed = True
         if self._loop is not None:
             self._cancel_deadline()
-            while self._pending or self._flush_tasks or self._background:
+            while self.pending_rows or self._flush_tasks \
+                    or self._background:
                 self._start_flush()
                 await asyncio.gather(*list(self._flush_tasks),
                                      *list(self._background),
@@ -411,122 +415,62 @@ class AsyncBatchScheduler:
             if not waiter.done():
                 waiter.set_result(None)
 
-    def _on_request_done(self, seq: int, rows: int) -> None:
-        """Done-callback of every request future (fires exactly once:
+    def _on_request_done(self, future: "asyncio.Future",
+                         request: _Request) -> None:
+        """Done-callback of every ticket future (fires exactly once:
         result, failure, or cancellation) — the single place a
-        request's backpressure slot is released."""
-        future = self._futures.pop(seq, None)
-        if future is not None and future.cancelled():
-            # Still queued?  Drop it so the flush skips the work.
-            for i, request in enumerate(self._pending):
-                if request.seq == seq:
-                    del self._pending[i]
-                    self._pending_rows -= rows
-                    self.metrics.observe_queue_depth(self._pending_rows)
-                    break
-            # The admission controller booked this request's rows at
-            # submit.  A cancellation — *including* one that lands
-            # after the flush already started running the batch — means
-            # those rows were never served; without this release the
-            # admitted counters drift up by every cancelled request.
-            if self.scheduler.admission is not None:
-                self.scheduler.admission.release(rows)
-        self._release_rows(rows)
+        request's backpressure slot is released.  A cancellation, or
+        a deadline expiry, goes through the core's withdraw path."""
+        if future.cancelled():
+            self.scheduler._withdraw(request)
+        self._release_rows(request.x.shape[0])
 
     # ------------------------------------------------------------------
     def _deadline_fire(self) -> None:
-        self._deadline_handle = None
-        if self._pending:
+        if self._start_flush() is not None:
             self.stats.timer_flushes += 1
-            self._start_flush()
-
-    def _idle_fire(self) -> None:
-        self._idle_handle = None
-        if self._pending:
-            self._start_flush()
 
     def _cancel_deadline(self) -> None:
-        if self._deadline_handle is not None:
-            self._deadline_handle.cancel()
-            self._deadline_handle = None
-        if self._idle_handle is not None:
-            self._idle_handle.cancel()
-            self._idle_handle = None
+        for handle in (self._deadline_handle, self._idle_handle):
+            if handle is not None:
+                handle.cancel()
+        self._deadline_handle = self._idle_handle = None
 
     def _start_flush(self) -> Optional["asyncio.Task"]:
-        """Detach the pending batch into a serialized flush task."""
+        """Detach the core's queue into a serialized flush task."""
         self._cancel_deadline()
-        if not self._pending:
+        with self.scheduler._lock:
+            batch = self.scheduler._detach_locked()
+        if not batch:
             return None
-        batch, self._pending = self._pending, []
-        self._pending_rows = 0
-        self.metrics.observe_queue_depth(0)
         task = self._loop.create_task(self._flush_task(batch))
         self._flush_tasks.add(task)
         task.add_done_callback(self._flush_tasks.discard)
         return task
 
-    async def _flush_task(self, batch: List[_Request]) -> None:
-        """One flush: engine work on the executor, then resolution.
+    async def _flush_task(self, batch: List[_Request]) -> int:
+        """One flush: the core's flush body on the executor, then an
+        autoscaler step.  Returns the number of requests flushed.
 
-        The async lock serializes engine calls across overlapping
-        flushes — replica engines hold RNG state, and the sequential
-        call order is what makes results bit-identical to the sync
-        scheduler.
+        The async lock serializes flushes in detach order — replica
+        engines hold RNG state, and the sequential call order is what
+        makes results bit-identical to the sync scheduler.
         """
         async with self._flush_lock:
             try:
-                resolved = await self._loop.run_in_executor(
+                await self._loop.run_in_executor(
                     self._executor, self._run_flush, batch)
-            except Exception as exc:     # noqa: BLE001 — defensive
-                resolved = {r.seq: _FailedResult(exc) for r in batch}
-            for request in batch:
-                future = self._futures.get(request.seq)
-                if future is None or future.done():
-                    continue             # cancelled mid-flight
-                value = resolved.get(request.seq)
-                if isinstance(value, _FailedResult):
-                    future.set_exception(value.exc)
-                elif value is None:
-                    future.set_exception(RuntimeError(
-                        f"flush produced no result for request "
-                        f"{request.seq}"))
-                else:
-                    future.set_result(value)
+            except Exception:            # noqa: BLE001 — failed the tickets
+                pass
             self._autoscale_step()
+        return len(batch)
 
-    def _run_flush(self, batch: List[_Request]) -> Dict[int, object]:
-        """Executor-side flush body: group by (model, T), reuse the
-        sync scheduler's engine/sharding/registry/control-plane hooks
-        (``_serve_group`` applies adaptive-T degradation and flags
-        degraded results), feed the metrics — filed under each group's
-        model-id, so a multi-tenant fleet keeps per-model latency
-        windows instead of pooling every tenant into one p95."""
-        scheduler = self.scheduler
-        resolved: Dict[int, object] = {}
-        for (model_id, n_samples), requests in \
-                scheduler._group_requests(batch).items():
-            rows = sum(r.x.shape[0] for r in requests)
-            t0 = time.perf_counter()
-            resolved.update(
-                scheduler._serve_group(requests, n_samples, model_id))
-            latency = time.perf_counter() - t0
-            self.stats.flushes += 1
-            if len(requests) > 1:
-                self.stats.coalesced_rows += rows
-            if self.metrics is not scheduler.metrics:
-                # The inner scheduler feeds its own collector (the
-                # control plane's) inside _run_group_safe; recording
-                # here too would double-count a shared object.
-                self.metrics.record_flush(
-                    rows=rows, n_requests=len(requests), latency_s=latency,
-                    replica_loads=scheduler.last_shard_loads,
-                    model_id=model_id)
-        if scheduler.controlplane is not None:
-            # Same housekeeping the sync flush runs: warm-spare
-            # promotion for replicas quarantined during this flush.
-            scheduler.controlplane.after_flush()
-        return resolved
+    def _run_flush(self, batch: List[_Request]) -> None:
+        """Executor-side flush: the core's one flush body, under the
+        core's flush lock.  It resolves the batch's futures, which
+        wake the awaiting tickets on the loop."""
+        with self.scheduler._flush_lock:
+            self.scheduler._run_batch(batch)
 
     def _autoscale_step(self) -> None:
         """Step the autoscaler between flushes (loop thread, flush
@@ -534,7 +478,7 @@ class AsyncBatchScheduler:
         if self.autoscaler is None or self._closed:
             return
         try:
-            delta = self.autoscaler.step(queue_rows=self._pending_rows)
+            delta = self.autoscaler.step(queue_rows=self.pending_rows)
         except Exception as exc:         # noqa: BLE001 — see attribute
             self.last_autoscale_error = exc
             return

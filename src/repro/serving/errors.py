@@ -9,8 +9,9 @@ front-end — :class:`~repro.serving.scheduler.BatchScheduler`,
 :class:`~repro.serving.sharded.ShardedScheduler`,
 :class:`~repro.serving.async_frontend.AsyncBatchScheduler`, the
 process pool, and the unified :func:`repro.serving.api.serve`
-factory — now raises the types defined here (the old import paths
-keep working as re-exports).
+factory — now raises the types defined here.  ``controlplane`` still
+re-exports the admission errors; import :class:`ResultTimeout` from
+here or from :mod:`repro.serving`.
 
 Ticket lifecycle
 ----------------
@@ -29,16 +30,23 @@ front-end:
    PendingPrediction` / :class:`~repro.serving.async_frontend.
    AsyncPrediction`) is returned immediately.
 3. **Flushed** — at ``max_batch`` rows, at the deadline, or on an
-   explicit ``flush()``, the batch runs as one engine call per
-   (model, T) group.  An engine failure fails only that group's
-   tickets, which re-raise the original exception on resolution.
-4. **Resolved / abandoned** — ``result()`` hands back the request's
-   own :class:`~repro.bayesian.base.PredictiveResult` exactly once.
-   A bounded wait that expires withdraws the request (its rows are
-   freed) and raises :class:`ResultTimeout`; a cancelled async ticket
-   releases its backpressure slot and reconciles its admission
-   accounting (see :meth:`~repro.serving.controlplane.
-   AdmissionController.release`).
+   explicit ``flush()``, the queue is detached and runs as one engine
+   call per (model, T) group.  An engine failure fails only that
+   group's tickets, which re-raise the original exception on
+   resolution.
+4. **Resolved / withdrawn** — the flush resolves the request's future
+   and ``result()`` hands back its own
+   :class:`~repro.bayesian.base.PredictiveResult`; calling it again
+   returns the same outcome.  The ticket owns the future, so an
+   unclaimed result is freed with its ticket.  A bounded wait that
+   expires, an async ``deadline_s`` expiry and an async cancel all
+   withdraw the request: a queued request leaves the queue and never
+   runs, one whose flush is already running is not recalled (its
+   outcome is dropped), and either way its admitted rows are released
+   (see :meth:`~repro.serving.controlplane.AdmissionController.
+   release`).  An expired ticket raises :class:`ResultTimeout` on
+   every retry; a cancelled async ticket also frees its backpressure
+   slot.
 """
 
 from __future__ import annotations
@@ -79,11 +87,11 @@ class Overload(AdmissionRejected):
 class ResultTimeout(RuntimeError):
     """``result(timeout=...)`` expired before the request resolved.
 
-    The ticket's pending slot is released on the way out: the request
-    is withdrawn from the batch (it will not run) and its rows no
-    longer count against ``max_batch``/admission watermarks, instead
-    of lingering for ``max_retained_results`` LRU eviction.  Retrying
-    the same ticket re-raises this error.
+    The request is withdrawn on the way out: a queued request leaves
+    the batch (it will not run) and its rows no longer count against
+    ``max_batch``; a request whose flush is already running is not
+    recalled and its outcome is dropped.  Either way its admitted rows
+    are released.  Retrying the same ticket re-raises this error.
     """
 
 

@@ -571,7 +571,13 @@ class ProcReplicaPool:
         try:
             process.start()
             child_conn.close()
-            reply = parent_conn.recv()      # boot handshake
+            try:
+                reply = parent_conn.recv()  # boot handshake
+            except EOFError:
+                process.join(timeout=5)
+                raise WorkerDied(
+                    f"procpool worker {index} died during boot (exit "
+                    f"code {process.exitcode})") from None
             if reply[0] != "ready":
                 raise RuntimeError(
                     f"procpool worker {index} failed to boot:\n"

@@ -24,6 +24,18 @@ explicit :meth:`BatchScheduler.flush` or ``result()`` call, or — when
 request has waited that many seconds (the latency deadline of a
 lightly-loaded service).
 
+:class:`BatchScheduler` is the one batching core under every
+front-end.  Each request is one record in one queue, carrying the
+:class:`concurrent.futures.Future` its flush resolves.  A flush
+detaches the whole queue under the scheduler lock and runs the engine
+outside it; a separate flush lock runs flushes one at a time, in
+detach order, so ``submit()`` never waits for an engine call it did
+not trigger.  The synchronous driver (this class's ``submit``, timer
+thread and tickets) and the asyncio driver
+(:class:`~repro.serving.async_frontend.AsyncBatchScheduler`) share
+that queue, flush body and withdraw path, and differ only in what
+triggers a flush.
+
 :class:`~repro.serving.sharded.ShardedScheduler` extends the flush
 step to spread one coalesced batch across multiple engine replicas.
 
@@ -36,6 +48,7 @@ pressure (adaptive-T; results carry ``served_samples``/``degraded``).
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import threading
 import time
@@ -47,11 +60,11 @@ from repro.bayesian.base import PredictiveResult
 from repro.serving.errors import ResultTimeout
 from repro.serving.metrics import LoadMetrics
 
-# Back-compat: ResultTimeout predates repro.serving.errors and was
-# defined here through PR 9; importing it from this module keeps
-# working.
-__all__ = ["BatchScheduler", "PendingPrediction", "ResultTimeout",
-           "SchedulerStats"]
+__all__ = ["BatchScheduler", "PendingPrediction", "SchedulerStats"]
+
+# A deadline timer thread with nothing armed for this long exits; the
+# next request into an empty queue starts a new one.
+_TIMER_IDLE_S = 1.0
 
 
 @dataclasses.dataclass
@@ -62,10 +75,9 @@ class SchedulerStats:
     rows: int = 0
     flushes: int = 0             # engine calls (one per T-group per flush)
     coalesced_rows: int = 0      # rows that shared a flush with another request
-    evicted: int = 0             # unclaimed results dropped at the cap
-    timer_flushes: int = 0       # flushes triggered by the deadline timer
+    timer_flushes: int = 0       # flushes triggered by a deadline timer
     shard_calls: int = 0         # per-replica engine calls (sharded scheduler)
-    timeouts: int = 0            # tickets abandoned by result(timeout=...)
+    timeouts: int = 0            # requests withdrawn: expiry or async cancel
     degraded_flushes: int = 0    # groups served below their requested T
 
     @property
@@ -73,33 +85,28 @@ class SchedulerStats:
         return self.rows / self.flushes if self.flushes else 0.0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class _Request:
-    """One submitted request waiting for its flush.
+    """One submitted request and the future its flush resolves.
 
     ``model_id`` names a :class:`~repro.serving.registry.ModelRegistry`
-    entry; ``None`` means the scheduler's own default engine.
+    entry; ``None`` means the scheduler's own default engine.  The
+    future is pending while the request is queued, running once a
+    flush has detached it, and done once it is served, failed or
+    withdrawn from the queue.
     """
 
-    seq: int
     x: np.ndarray
     n_samples: int
     model_id: Optional[str] = None
+    future: concurrent.futures.Future = dataclasses.field(
+        default_factory=concurrent.futures.Future)
+    withdrawn: bool = False
 
-
-class _FailedResult:
-    """A flush-time engine failure, stored in a request's result slot.
-
-    When an engine call raises, only the requests of that call fail:
-    their slots hold the original exception (re-raised, traceback
-    intact, when the ticket is resolved) while sibling requests from
-    other T-groups or shards resolve normally.
-    """
-
-    __slots__ = ("exc",)
-
-    def __init__(self, exc: BaseException):
-        self.exc = exc
+    @property
+    def queued(self) -> bool:
+        """Still waiting in the queue (not detached, not withdrawn)."""
+        return not (self.future.done() or self.future.running())
 
 
 class PendingPrediction:
@@ -108,51 +115,68 @@ class PendingPrediction:
     ``result()`` returns the request's own :class:`PredictiveResult`
     (predictive mean probabilities, per-pass samples, and therefore
     every uncertainty score).  Calling it while the request is still
-    pending forces a flush of the current pending batch.
+    queued forces a flush of the current pending batch.  The ticket
+    owns its request's future, so an unclaimed result is freed with
+    the ticket.
     """
 
-    def __init__(self, scheduler: "BatchScheduler", seq: int, n_rows: int,
-                 n_samples: int, deadline: Optional[float] = None):
+    def __init__(self, scheduler: "BatchScheduler", request: _Request,
+                 deadline: Optional[float] = None):
         self._scheduler = scheduler
-        self._seq = seq
-        self.n_rows = n_rows
-        self.n_samples = n_samples
+        self._request = request
+        self.n_rows = request.x.shape[0]
+        self.n_samples = request.n_samples
         # Absolute monotonic deadline from submit(deadline_s=...);
         # result() then defaults to waiting out the remaining budget.
         self._deadline = deadline
 
     def done(self) -> bool:
-        """True once the request's flush has run (even if it failed)."""
-        return self._scheduler._has_result(self._seq)
+        """True once the request is served, failed or withdrawn."""
+        return self._request.future.done()
 
     def result(self, timeout: Optional[float] = None) -> PredictiveResult:
-        """Return (once) this request's :class:`PredictiveResult`.
+        """Return this request's :class:`PredictiveResult`.
 
-        With ``timeout=None`` (default) a still-pending request forces
+        With ``timeout=None`` (default) a still-queued request forces
         an immediate flush — unless the request was submitted with
         ``deadline_s=``, in which case the remaining deadline budget is
-        used as the timeout.  With a timeout, the call instead *waits*
+        used as the timeout.  A request already detached into a flush
+        waits for that flush.  With a timeout, the call instead *waits*
         for another flush trigger (the deadline timer, ``max_batch``,
         or a concurrent ``flush()``) to resolve the request — the
         polite form for a caller that wants batching to happen — and
-        on expiry withdraws the request entirely (its queue slot is
-        freed; it will not run) and raises :class:`ResultTimeout`.
+        on expiry withdraws the request and raises
+        :class:`ResultTimeout`.  A queued request leaves the queue and
+        never runs; one whose flush is already running is not recalled
+        and its outcome is dropped.  Either way its admitted rows are
+        released.
+
+        ``result()`` may be called again and returns the same outcome.
 
         Raises
         ------
         ResultTimeout
             The timeout expired first (and on any retry of the same
             ticket).
-        RuntimeError
-            If the result was already consumed, or was evicted past
-            ``max_retained_results``.
         Exception
             If the engine call serving this request raised, the
             original exception is re-raised with its traceback.
         """
         if timeout is None and self._deadline is not None:
             timeout = max(self._deadline - time.monotonic(), 1e-9)
-        return self._scheduler._resolve(self._seq, timeout)
+        if timeout is not None and timeout <= 0:
+            raise ValueError("timeout must be positive (or None)")
+        request, scheduler = self._request, self._scheduler
+        if not request.withdrawn:
+            if timeout is None:
+                scheduler._flush_if_queued(request)
+                return request.future.result()
+            try:
+                return request.future.result(timeout)
+            except concurrent.futures.TimeoutError:
+                scheduler._withdraw(request)
+        raise ResultTimeout(
+            "request was withdrawn by a result(timeout=...) expiry")
 
 
 class BatchScheduler:
@@ -175,10 +199,11 @@ class BatchScheduler:
         via ``submit(x, n_samples=...)``.  At flush time pending
         requests are grouped by T, one engine call per distinct T.
     max_batch:
-        Flush automatically once the pending rows reach this count.
-        Requests larger than ``max_batch`` are accepted and flushed
-        immediately rather than split (a request's rows always share
-        one flush, so its samples stay mutually consistent).
+        Flush automatically once the pending rows reach this count;
+        the submit that fills the batch runs that flush.  Requests
+        larger than ``max_batch`` are accepted and flushed immediately
+        rather than split (a request's rows always share one flush, so
+        its samples stay mutually consistent).
     chunk_passes:
         Forwarded to the engine to bound peak memory.
     feature_shape:
@@ -189,19 +214,15 @@ class BatchScheduler:
         ambiguous (a single ``(C, H, W)`` image is indistinguishable
         from a batch of 2-D inputs); pass ``feature_shape`` explicitly
         to serve image engines.
-    max_retained_results:
-        Bound on flushed-but-unclaimed results kept for late
-        ``result()`` calls.  A long-lived scheduler whose callers
-        abandon tickets (e.g. after timeouts) would otherwise grow
-        without limit; beyond the cap the *oldest* unclaimed results
-        are dropped (counted in ``stats.evicted``) and their tickets
-        raise on ``result()``.
     flush_interval:
-        Optional deadline in seconds: when set, a daemon timer flushes
-        the pending batch once the *oldest* pending request has waited
-        this long, bounding tail latency under light traffic.  Call
-        :meth:`close` (or use the scheduler as a context manager) to
-        cancel the timer on shutdown.
+        Optional deadline in seconds: when set, a daemon timer thread
+        flushes the pending batch once the *oldest* pending request
+        has waited this long, bounding tail latency under light
+        traffic; requests that queued behind a running flush wait this
+        long again after it ends.  The thread lives while requests
+        keep arriving and exits after a second with nothing queued.
+        Call :meth:`close` (or use the scheduler as a context manager)
+        to stop it on shutdown.
     registry:
         Optional :class:`~repro.serving.registry.ModelRegistry`.  When
         set, requests may name a registered model via ``submit(x,
@@ -217,10 +238,9 @@ class BatchScheduler:
     metrics:
         Optional :class:`~repro.serving.metrics.LoadMetrics` fed one
         record per successful engine flush (with per-model windows on
-        registry routes) plus queue-depth observations — giving the
-        *sync* front-ends the observability the async front-end
-        always had.  Defaults to the control plane's collector when
-        one is attached.
+        registry routes) plus queue-depth observations.  Defaults to
+        the control plane's collector when one is attached; an async
+        front-end driving this scheduler shares it.
     admission:
         Optional bounded-queue policy applied on every ``submit()``:
         an :class:`~repro.serving.controlplane.AdmissionPolicy` (or a
@@ -241,7 +261,6 @@ class BatchScheduler:
                  max_batch: int = 64,
                  chunk_passes: Optional[int] = None,
                  feature_shape: Optional[tuple] = None,
-                 max_retained_results: int = 1024,
                  flush_interval: Optional[float] = None,
                  registry=None, default_model: Optional[str] = None,
                  metrics: Optional[LoadMetrics] = None,
@@ -250,8 +269,6 @@ class BatchScheduler:
             raise ValueError("need at least one MC sample")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
-        if max_retained_results < 1:
-            raise ValueError("max_retained_results must be positive")
         if flush_interval is not None and flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
         if engine is None and registry is None:
@@ -270,7 +287,6 @@ class BatchScheduler:
         self.n_samples = n_samples
         self.max_batch = max_batch
         self.chunk_passes = chunk_passes
-        self.max_retained_results = max_retained_results
         self.flush_interval = flush_interval
         self.controlplane = controlplane
         if controlplane is not None:
@@ -293,26 +309,18 @@ class BatchScheduler:
                     "AdmissionPolicy")
         self.admission = admission
         self.stats = SchedulerStats()
+        # Guards the queue, the timer and the shape table; never held
+        # across an engine call.
         self._lock = threading.RLock()
-        # Signalled after every flush; result(timeout=...) waits on it
-        # instead of force-flushing.
-        self._cond = threading.Condition(self._lock)
+        # Runs flushes one at a time; each detaches the queue after
+        # taking it, so flushes run in detach order.
+        self._flush_lock = threading.Lock()
         self._pending: List[_Request] = []
         self._pending_rows = 0
         # Rows served by each engine replica in the most recent engine
         # call ([total] for the single-engine scheduler; one entry per
         # replica for ShardedScheduler) — the load-metrics hook.
         self.last_shard_loads: List[int] = []
-        # Values are PredictiveResult or _FailedResult slots.
-        self._results: dict[int, object] = {}
-        # Evicted seqs are remembered (insertion-ordered, bounded) so
-        # their tickets raise a precise error; beyond the bound the
-        # oldest degrade to the generic "already consumed" message
-        # rather than growing memory forever.
-        self._evicted_seqs: dict[int, None] = {}
-        # Tickets withdrawn by result(timeout=...) — bounded like the
-        # evicted set; retrying one re-raises ResultTimeout.
-        self._timed_out_seqs: dict[int, None] = {}
         # Per-sample input shape, keyed by model-id (None = the
         # default engine / default_model route).  Shapes are pinned by
         # the constructor argument, by the registry entry, or inferred
@@ -320,8 +328,11 @@ class BatchScheduler:
         self._feature_shapes: Dict[Optional[str], tuple] = {}
         if feature_shape is not None:
             self._feature_shapes[None] = tuple(feature_shape)
-        self._next_seq = 0
-        self._timer: Optional[threading.Timer] = None
+        # The sync driver's deadline timer: the thread, and when the
+        # oldest queued request is due (None while nothing is armed).
+        self._timer: Optional[threading.Thread] = None
+        self._flush_at: Optional[float] = None
+        self._wake = threading.Condition(self._lock)
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -343,7 +354,8 @@ class BatchScheduler:
         Returns a :class:`PendingPrediction` that resolves once the
         request's batch is flushed (automatically at ``max_batch``
         rows, after ``flush_interval`` seconds, or on :meth:`flush` /
-        ``result()``).
+        ``result()``).  Only the submit that fills ``max_batch`` waits
+        for engine work: it runs that flush on its own thread.
 
         Raises
         ------
@@ -368,25 +380,28 @@ class BatchScheduler:
             if self.admission is not None:
                 self.admission.admit(
                     x.shape[0], self._pending_rows, self._observed_p95)
-            seq = self._next_seq
-            self._next_seq += 1
             was_empty = not self._pending
-            self._pending.append(_Request(seq, x, n_samples, model_id))
-            self._pending_rows += x.shape[0]
-            self.stats.requests += 1
-            self.stats.rows += x.shape[0]
-            if self.metrics is not None:
-                self.metrics.observe_queue_depth(self._pending_rows)
-            deadline = (time.monotonic() + deadline_s
-                        if deadline_s is not None else None)
-            ticket = PendingPrediction(self, seq, x.shape[0], n_samples,
-                                       deadline)
-            if self._pending_rows >= self.max_batch:
-                self._flush_locked()
-            elif was_empty and self.flush_interval is not None \
+            request = self._enqueue(x, n_samples, model_id)
+            # Only the submit that crosses the threshold flushes; later
+            # ones ride along until that flush detaches the queue.
+            fills = (self._pending_rows >= self.max_batch
+                     > self._pending_rows - request.x.shape[0])
+            if was_empty and not fills and self.flush_interval is not None \
                     and not self._closed:
-                self._arm_timer_locked()
-            return ticket
+                self._flush_at = time.monotonic() + self.flush_interval
+                if self._timer is None:
+                    self._timer = threading.Thread(
+                        target=self._timer_loop, name="batch-deadline",
+                        daemon=True)
+                    self._timer.start()
+                else:
+                    self._wake.notify()
+        ticket = PendingPrediction(
+            self, request,
+            None if deadline_s is None else time.monotonic() + deadline_s)
+        if fills:
+            self._flush_if_queued(request)
+        return ticket
 
     def _normalize_request(self, x: np.ndarray,
                            n_samples: Optional[int],
@@ -460,12 +475,28 @@ class BatchScheduler:
                 raise ValueError("empty request")
         return x, n_samples, model
 
+    def _enqueue(self, x: np.ndarray, n_samples: int,
+                 model_id: Optional[str]) -> _Request:
+        """Append one validated, admitted request to the queue both
+        drivers share."""
+        request = _Request(x, n_samples, model_id)
+        with self._lock:
+            self._pending.append(request)
+            self._pending_rows += request.x.shape[0]
+            self.stats.requests += 1
+            self.stats.rows += request.x.shape[0]
+            if self.metrics is not None:
+                self.metrics.observe_queue_depth(self._pending_rows)
+        return request
+
     def flush(self) -> int:
         """Run batched MC over everything pending (one call per T).
 
-        Returns the number of requests resolved (0 if nothing pending).
+        Waits for a flush already running, then flushes what is
+        queued.  Returns the number of requests this call resolved (0
+        if nothing was pending).
         """
-        with self._lock:
+        with self._flush_lock:
             return self._flush_locked()
 
     @property
@@ -474,11 +505,12 @@ class BatchScheduler:
             return self._pending_rows
 
     def close(self) -> None:
-        """Flush any pending requests and cancel the deadline timer."""
+        """Flush any pending requests and stop the deadline timer."""
         with self._lock:
             self._closed = True
-            self._cancel_timer_locked()
-            self._flush_locked()
+            self._timer = self._flush_at = None
+            self._wake.notify_all()
+        self.flush()
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -487,31 +519,38 @@ class BatchScheduler:
         self.close()
 
     # ------------------------------------------------------------------
-    def _arm_timer_locked(self) -> None:
-        self._cancel_timer_locked()
-        timer = threading.Timer(self.flush_interval, self._timer_fire)
-        timer.daemon = True
-        # The callback receives its own Timer so a stale firing (one
-        # that was cancelled after its thread already woke up and is
-        # waiting on the lock) can recognize it is no longer current
-        # and must not flush a newer batch early.
-        timer.args = (timer,)
-        self._timer = timer
-        timer.start()
+    def _timer_loop(self) -> None:
+        """The deadline timer thread: flush once the oldest queued
+        request is due.
 
-    def _cancel_timer_locked(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _timer_fire(self, timer: threading.Timer) -> None:
-        with self._lock:
-            if self._timer is not timer:
-                return
-            self._timer = None
-            if self._pending:
-                self.stats.timer_flushes += 1
-                self._flush_locked()
+        A flush clears the deadline (or restarts it for requests that
+        queued behind the flush) and the next request into an empty
+        queue sets a new one and wakes this thread, so one thread
+        serves every deadline while traffic flows (``submit`` then
+        starts no thread); it exits after ``_TIMER_IDLE_S`` with no
+        deadline armed.  A deadline found cleared or moved after the
+        flush lock was taken means another flush got there first.
+        """
+        while True:
+            with self._lock:
+                while not self._closed:
+                    idle = self._flush_at is None
+                    wait_s = _TIMER_IDLE_S if idle \
+                        else self._flush_at - time.monotonic()
+                    if wait_s <= 0 or (not self._wake.wait(wait_s)
+                                       and idle):
+                        break
+                if self._closed or self._flush_at is None:
+                    self._timer = None
+                    return
+            with self._flush_lock:
+                with self._lock:
+                    due = self._flush_at is not None \
+                        and self._flush_at <= time.monotonic()
+                    if due and self._pending:
+                        self.stats.timer_flushes += 1
+                if due:
+                    self._flush_locked()
 
     # ------------------------------------------------------------------
     def _observed_p95(self) -> float:
@@ -519,39 +558,107 @@ class BatchScheduler:
         return self.metrics.p95_latency_s() if self.metrics is not None \
             else 0.0
 
+    def _flush_if_queued(self, request: _Request) -> None:
+        """Flush the queue if ``request`` is still in it.
+
+        The forced flush of a ``result()`` without timeout and the
+        ``max_batch`` flush of the submit that filled the batch: a
+        request that another flush already detached just waits for
+        it, so unrelated requests are not flushed.
+        """
+        if request.queued:
+            with self._flush_lock:
+                if request.queued:
+                    self._flush_locked()
+
     def _flush_locked(self) -> int:
-        self._cancel_timer_locked()
-        if not self._pending:
-            return 0
-        batch, self._pending = self._pending, []
-        self._pending_rows = 0
-        if self.metrics is not None:
-            self.metrics.observe_queue_depth(0)
-        for (model_id, n_samples), requests in \
-                self._group_requests(batch).items():
-            resolved = self._serve_group(requests, n_samples, model_id)
-            self.stats.flushes += 1
-            if len(requests) > 1:
-                self.stats.coalesced_rows += sum(
-                    r.x.shape[0] for r in requests)
-            self._results.update(resolved)
-        # Bound unclaimed-result retention (dicts iterate in insertion
-        # order, so the front is the oldest flushed result).
-        while len(self._results) > self.max_retained_results:
-            oldest = next(iter(self._results))
-            del self._results[oldest]
-            self._evicted_seqs[oldest] = None
-            self.stats.evicted += 1
-        while len(self._evicted_seqs) > 4 * self.max_retained_results:
-            del self._evicted_seqs[next(iter(self._evicted_seqs))]
-        if self.controlplane is not None:
-            self.controlplane.after_flush()
-        self._cond.notify_all()
+        """Detach the queue and serve it; the caller holds the flush
+        lock.  Returns the number of requests flushed."""
+        with self._lock:
+            batch = self._detach_locked()
+        self._run_batch(batch)
+        with self._lock:
+            if self._flush_at is not None:
+                # Requests that queued behind this flush get a fresh
+                # deadline: flushing them the moment it ends would cut
+                # the backlog of a busy engine into smaller batches.
+                self._flush_at = time.monotonic() + self.flush_interval
         return len(batch)
 
+    def _detach_locked(self) -> List[_Request]:
+        """Take the whole queue as one batch (scheduler lock held).
+
+        Each request's future moves to running, so it can no longer be
+        cancelled; a request whose future an async cancel already
+        cancelled is dropped here and never runs.
+        """
+        self._flush_at = None
+        batch, self._pending = self._pending, []
+        self._pending_rows = 0
+        if batch and self.metrics is not None:
+            self.metrics.observe_queue_depth(0)
+        return [r for r in batch if r.future.set_running_or_notify_cancel()]
+
+    def _run_batch(self, batch: List[_Request]) -> None:
+        """The one flush body both drivers run (flush lock held).
+
+        Serves each (model, T) group of a detached batch through
+        :meth:`_serve_group`, which resolves the group's futures.  If
+        the flush itself breaks, every request it has not resolved
+        fails with that error instead of waiting forever.
+        """
+        try:
+            for (model_id, n_samples), requests in \
+                    self._group_requests(batch).items():
+                # Counted before the group's tickets resolve, so a
+                # caller woken by its result sees the flush counted.
+                self.stats.flushes += 1
+                if len(requests) > 1:
+                    self.stats.coalesced_rows += sum(
+                        r.x.shape[0] for r in requests)
+                self._serve_group(requests, n_samples, model_id)
+            if batch and self.controlplane is not None:
+                self.controlplane.after_flush()
+        except BaseException as exc:
+            for request in batch:
+                if not request.future.done():
+                    request.future.set_exception(exc)
+            raise
+
+    def _withdraw(self, request: _Request) -> None:
+        """Withdraw a request whose caller stopped waiting.
+
+        The one path behind a sync ``result(timeout=)`` expiry, an
+        async cancel and an async deadline.  A queued request leaves
+        the queue and never runs; a request whose flush is already
+        running is not recalled, and its outcome is dropped.  Either
+        way its admitted rows are released: the caller has already
+        been told the request was withdrawn, even if its result lands
+        a moment later.
+        """
+        with self._lock:
+            if request.withdrawn:
+                return
+            request.withdrawn = True
+            request.future.cancel()  # takes effect only while queued
+            try:
+                self._pending.remove(request)
+            except ValueError:
+                pass                 # detached: its flush is running
+            else:
+                self._pending_rows -= request.x.shape[0]
+                if self.metrics is not None:
+                    self.metrics.observe_queue_depth(self._pending_rows)
+            self.stats.timeouts += 1
+            if self.admission is not None:
+                # Admitted but never served: reconcile the counters so
+                # admitted totals don't drift.
+                self.admission.release(request.x.shape[0])
+
     def _serve_group(self, requests: List[_Request], requested_t: int,
-                     model_id: Optional[str] = None) -> Dict[int, object]:
-        """Run one (model, T)-group at its SLO-adjusted sample count.
+                     model_id: Optional[str] = None) -> None:
+        """Run one (model, T)-group at its SLO-adjusted sample count
+        and resolve its requests' futures.
 
         The control plane may shed MC passes under latency pressure
         (adaptive-T): the group then runs at ``served_t <
@@ -559,19 +666,20 @@ class BatchScheduler:
         ``degraded`` (``served_samples`` already carries the actual
         pass count).  Without a control plane — or with the p95 under
         target — the group runs exactly as requested, keeping results
-        bit-identical to a plain scheduler.  Shared by the sync flush
-        and the async front-end's executor flush.
+        bit-identical to a plain scheduler.
         """
         served_t = requested_t
         if self.controlplane is not None:
             served_t = self.controlplane.served_t(requested_t)
-        resolved = self._run_group_safe(requests, served_t, model_id)
+        outcomes = self._run_group_safe(requests, served_t, model_id)
         if served_t != requested_t:
             self.stats.degraded_flushes += 1
-            for value in resolved.values():
-                if isinstance(value, PredictiveResult):
-                    value.degraded = True
-        return resolved
+        for request, outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                request.future.set_exception(outcome)
+            else:
+                outcome.degraded = served_t != requested_t
+                request.future.set_result(outcome)
 
     @staticmethod
     def _group_requests(batch: List[_Request]
@@ -585,8 +693,7 @@ class BatchScheduler:
         mixed-tenant flush never blends two models' rows into one
         engine call.  Insertion-ordered (groups run in arrival order
         of their first member), so a seeded replay of the same
-        submissions reproduces the engine-call sequence — the async
-        front-end reuses this helper to keep that guarantee.
+        submissions reproduces the engine-call sequence.
         """
         groups: Dict[Tuple[Optional[str], int], List[_Request]] = {}
         for request in batch:
@@ -595,21 +702,22 @@ class BatchScheduler:
         return groups
 
     def _run_group_safe(self, requests: List[_Request], n_samples: int,
-                        model_id: Optional[str] = None
-                        ) -> Dict[int, object]:
-        """Run one (model, T)-group, converting an engine failure into
-        :class:`_FailedResult` slots for exactly that group's
-        requests — a poisoned engine must not wedge sibling groups
-        (their tickets would otherwise stay pending forever).
-        Registry-routed groups also feed their model's
-        :class:`~repro.serving.metrics.LoadMetrics`, and every
-        successful group feeds the scheduler's own ``metrics``
-        collector (when attached) under its model-id window."""
+                        model_id: Optional[str] = None) -> list:
+        """Run one (model, T)-group; return ``(request, outcome)``
+        pairs, where an outcome is a result or the exception that
+        failed it.
+
+        An engine failure fails exactly that group's requests — a
+        poisoned engine must not wedge sibling groups.  This is the
+        one place a group is recorded: every successful group feeds
+        the scheduler's ``metrics`` collector (when attached) under
+        its model-id window, and registry-routed groups also feed
+        their model's :class:`~repro.serving.metrics.LoadMetrics`."""
         t0 = time.perf_counter()
         try:
-            resolved = self._run_group(requests, n_samples, model_id)
+            outcomes = self._run_group(requests, n_samples, model_id)
         except Exception as exc:      # noqa: BLE001 — delivered to tickets
-            return {r.seq: _FailedResult(exc) for r in requests}
+            return [(r, exc) for r in requests]
         latency_s = time.perf_counter() - t0
         rows = sum(r.x.shape[0] for r in requests)
         if self.metrics is not None:
@@ -620,7 +728,7 @@ class BatchScheduler:
             self.registry.record_flush(
                 model_id, rows=rows, n_requests=len(requests),
                 latency_s=latency_s)
-        return resolved
+        return outcomes
 
     def _resolve_engine(self, model_id: Optional[str]):
         """The engine serving one group: the scheduler's own for the
@@ -634,8 +742,7 @@ class BatchScheduler:
         return self.registry.engine(model_id)
 
     def _run_group(self, requests: List[_Request], n_samples: int,
-                   model_id: Optional[str] = None
-                   ) -> Dict[int, PredictiveResult]:
+                   model_id: Optional[str] = None) -> list:
         """One engine call over a same-(model, T) group; per-request
         slices."""
         engine = self._resolve_engine(model_id)
@@ -647,7 +754,7 @@ class BatchScheduler:
 
     @staticmethod
     def _slice_group(requests: List[_Request], result: PredictiveResult
-                     ) -> Dict[int, PredictiveResult]:
+                     ) -> List[Tuple[_Request, PredictiveResult]]:
         """Hand each request its own slice of the stacked samples.
 
         Engines may return more result rows than input rows — a
@@ -664,90 +771,11 @@ class BatchScheduler:
                 f"{total_rows} input rows — not an integer per-input "
                 f"expansion, so per-request slices are ambiguous")
         scale = out_rows // total_rows
-        resolved: Dict[int, PredictiveResult] = {}
+        sliced = []
         lo = 0
         for request in requests:
             hi = lo + request.x.shape[0]
-            resolved[request.seq] = PredictiveResult.from_samples(
-                result.samples[:, lo * scale:hi * scale])
+            sliced.append((request, PredictiveResult.from_samples(
+                result.samples[:, lo * scale:hi * scale])))
             lo = hi
-        return resolved
-
-    def _has_result(self, seq: int) -> bool:
-        with self._lock:
-            return seq in self._results
-
-    def _resolve(self, seq: int,
-                 timeout: Optional[float] = None) -> PredictiveResult:
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive (or None)")
-        with self._lock:
-            if timeout is None:
-                if seq not in self._results and any(
-                        r.seq == seq for r in self._pending):
-                    # Only force a flush when this ticket's request is
-                    # genuinely still pending — resolving a consumed or
-                    # evicted ticket must not disturb unrelated
-                    # requests.
-                    self._flush_locked()
-            else:
-                self._wait_for_result_locked(seq, timeout)
-            if seq not in self._results:
-                if seq in self._timed_out_seqs:
-                    raise ResultTimeout(
-                        f"request {seq} was withdrawn by an earlier "
-                        f"result(timeout=...) expiry")
-                if seq in self._evicted_seqs:
-                    raise RuntimeError(
-                        f"result for request {seq} was evicted: it "
-                        f"stayed unclaimed past max_retained_results="
-                        f"{self.max_retained_results}")
-                raise RuntimeError(
-                    f"result for request {seq} was already consumed "
-                    f"(each ticket's result() can be taken once)")
-            value = self._results.pop(seq)
-        if isinstance(value, _FailedResult):
-            # Re-raise the engine's original exception (traceback
-            # intact) outside the lock.
-            raise value.exc
-        return value
-
-    def _wait_for_result_locked(self, seq: int, timeout: float) -> None:
-        """Wait (without forcing a flush) until ``seq`` resolves.
-
-        Relies on the deadline timer / ``max_batch`` / concurrent
-        ``flush()`` calls to run the batch; the condition variable is
-        signalled after every flush.  On expiry the request is
-        withdrawn from the pending batch — freeing its rows for
-        ``max_batch`` and admission accounting immediately, rather
-        than parking an unclaimed result for LRU eviction — and the
-        caller raises :class:`ResultTimeout` via the ordinary
-        missing-result path.
-        """
-        deadline = time.monotonic() + timeout
-        while seq not in self._results:
-            if not any(r.seq == seq for r in self._pending):
-                return               # resolved+consumed, evicted, or gone
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for i, request in enumerate(self._pending):
-                    if request.seq == seq:
-                        del self._pending[i]
-                        self._pending_rows -= request.x.shape[0]
-                        if self.metrics is not None:
-                            self.metrics.observe_queue_depth(
-                                self._pending_rows)
-                        if self.admission is not None:
-                            # The withdrawn rows were admitted but will
-                            # never be served — reconcile the counters
-                            # so admitted totals don't drift.
-                            self.admission.release(request.x.shape[0])
-                        break
-                self._timed_out_seqs[seq] = None
-                while len(self._timed_out_seqs) > \
-                        4 * self.max_retained_results:
-                    del self._timed_out_seqs[
-                        next(iter(self._timed_out_seqs))]
-                self.stats.timeouts += 1
-                return
-            self._cond.wait(remaining)
+        return sliced

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.serving.scheduler import BatchScheduler, _FailedResult, _Request
+from repro.serving.scheduler import BatchScheduler, _Request
 
 
 class ShardedScheduler(BatchScheduler):
@@ -173,7 +173,7 @@ class ShardedScheduler(BatchScheduler):
         return shards
 
     def _run_group(self, requests: List[_Request], n_samples: int,
-                   model_id: Optional[str] = None) -> Dict[int, object]:
+                   model_id: Optional[str] = None) -> list:
         """One same-T group across the replicas; per-request slices.
 
         Only the default-engine route is sharded — the replicas are
@@ -181,10 +181,9 @@ class ShardedScheduler(BatchScheduler):
         on its registered model's own engine via the base scheduler
         (single call, still coalesced and T-grouped).
 
-        A shard whose engine call raises resolves to
-        :class:`_FailedResult` slots for exactly its own requests —
-        sibling shards (other replicas, and other threads' futures)
-        are never left pending.
+        A shard whose engine call raises fails exactly its own
+        requests (their outcome is the exception) — sibling shards
+        resolve normally.
 
         With a control plane attached, the replica snapshot is first
         filtered through its health state (quarantined replicas get no
@@ -192,7 +191,7 @@ class ShardedScheduler(BatchScheduler):
         and every shard call reports its outcome — success latency or
         failure — back to the plane.  The report takes only the
         plane's own lock, so pool workers never touch the scheduler
-        lock the flushing thread is holding.
+        lock.
         """
         if model_id is not None:
             return super()._run_group(requests, n_samples, model_id)
@@ -208,7 +207,7 @@ class ShardedScheduler(BatchScheduler):
         occupied = [(engine, shard)
                     for engine, shard in zip(engines, shards) if shard]
 
-        def run_shard(engine, shard: List[_Request]) -> Dict[int, object]:
+        def run_shard(engine, shard: List[_Request]) -> list:
             rows = sum(r.x.shape[0] for r in shard)
             t0 = time.perf_counter()
             try:
@@ -216,26 +215,22 @@ class ShardedScheduler(BatchScheduler):
                 result = engine.mc_forward_batched(
                     coalesced, n_samples=n_samples,
                     chunk_passes=self.chunk_passes)
-                resolved = self._slice_group(shard, result)
+                outcomes = self._slice_group(shard, result)
             except Exception as exc:  # noqa: BLE001 — delivered per ticket
                 if controlplane is not None:
                     controlplane.record_outcome(
                         engine, ok=False, rows=rows, error=exc)
-                return {r.seq: _FailedResult(exc) for r in shard}
+                return [(r, exc) for r in shard]
             if controlplane is not None:
                 controlplane.record_outcome(
                     engine, ok=True, rows=rows,
                     latency_s=time.perf_counter() - t0)
-            return resolved
+            return outcomes
 
         self.stats.shard_calls += len(occupied)
-        resolved: Dict[int, object] = {}
         if pool is not None and len(occupied) > 1:
             futures = [pool.submit(run_shard, engine, shard)
                        for engine, shard in occupied]
-            for future in futures:
-                resolved.update(future.result())
-        else:
-            for engine, shard in occupied:
-                resolved.update(run_shard(engine, shard))
-        return resolved
+            return [pair for future in futures for pair in future.result()]
+        return [pair for engine, shard in occupied
+                for pair in run_shard(engine, shard)]

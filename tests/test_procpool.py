@@ -95,6 +95,10 @@ FAMILIES = {
 }
 
 
+def _exit_during_boot():
+    os._exit(3)                     # the worker dies before its handshake
+
+
 def _save_snapshot(make_engine, path):
     DeploymentSnapshot.capture(make_engine()).save(path)
     return path
@@ -205,6 +209,10 @@ class TestTransport:
         with pytest.raises(RuntimeError, match="failed to boot"):
             ProcReplicaPool.from_snapshot("/nonexistent/snapshot",
                                           workers=1)
+
+    def test_worker_death_during_boot_names_its_exit_code(self):
+        with pytest.raises(WorkerDied, match="worker 0 .*exit code 3"):
+            ProcReplicaPool.from_factory(_exit_during_boot, workers=1)
 
 
 # ----------------------------------------------------------------------

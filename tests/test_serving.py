@@ -1,14 +1,22 @@
 """BatchScheduler: request coalescing over the batched MC engine."""
 
+import gc
+import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.bayesian import BayesianCim, make_spindrop_mlp
 from repro.cim import CimConfig
-from repro.serving import BatchScheduler
+from repro.serving import (
+    AdmissionController,
+    AdmissionPolicy,
+    BatchScheduler,
+    ResultTimeout,
+)
 
 RNG = np.random.default_rng(7)
 
@@ -141,26 +149,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             scheduler.submit(np.zeros((0, 12)))
 
-    def test_double_result_raises_clear_error(self, engine):
+    def test_double_result_returns_the_same_outcome(self, engine):
         scheduler = BatchScheduler(engine, n_samples=3)
         ticket = scheduler.submit(RNG.standard_normal((2, 12)))
-        ticket.result()
-        with pytest.raises(RuntimeError, match="already consumed"):
-            ticket.result()
+        first = ticket.result()
+        assert ticket.result() is first
+        assert scheduler.stats.flushes == 1
 
-    def test_abandoned_results_evicted_at_cap(self, engine):
-        scheduler = BatchScheduler(engine, n_samples=2, max_batch=64,
-                                   max_retained_results=2)
-        abandoned = scheduler.submit(RNG.standard_normal((1, 12)))
+    def test_unclaimed_results_are_freed(self, engine):
+        """A ticket owns its future: a flushed result nobody claims is
+        freed with its ticket, so no retention cap is needed."""
+        scheduler = BatchScheduler(engine, n_samples=2, max_batch=64)
+        ticket = scheduler.submit(RNG.standard_normal((1, 12)))
         scheduler.flush()
-        kept = [scheduler.submit(RNG.standard_normal((1, 12)))
-                for _ in range(2)]
-        scheduler.flush()
-        assert scheduler.stats.evicted == 1
-        with pytest.raises(RuntimeError, match="evicted"):
-            abandoned.result()
-        for ticket in kept:               # newest results survive
-            assert ticket.result().probs.shape == (1, 3)
+        assert ticket.done()
+        future = weakref.ref(ticket._request.future)
+        result = weakref.ref(ticket._request.future.result())
+        del ticket
+        gc.collect()
+        assert future() is None and result() is None
 
 
 class TestPerRequestSamples:
@@ -251,45 +258,16 @@ class TestTimerFlush:
 
 class TestResolveBugfixes:
     def test_consumed_ticket_does_not_flush_unrelated_requests(self, engine):
-        """Regression: resolving a consumed ticket used to force-flush
-        every unrelated pending request before raising."""
+        """Regression: resolving an already-resolved ticket used to
+        force-flush every unrelated pending request."""
         scheduler = BatchScheduler(engine, n_samples=2, max_batch=64)
         first = scheduler.submit(RNG.standard_normal((1, 12)))
-        first.result()                       # consume (forces one flush)
+        result = first.result()              # forces one flush
         pending = scheduler.submit(RNG.standard_normal((2, 12)))
-        with pytest.raises(RuntimeError, match="already consumed"):
-            first.result()
+        assert first.result() is result
         assert not pending.done()            # still pending, untouched
         assert scheduler.pending_rows == 2
         assert scheduler.stats.flushes == 1
-
-    def test_evicted_ticket_does_not_flush_unrelated_requests(self, engine):
-        scheduler = BatchScheduler(engine, n_samples=2, max_batch=64,
-                                   max_retained_results=1)
-        abandoned = scheduler.submit(RNG.standard_normal((1, 12)))
-        scheduler.flush()
-        scheduler.submit(RNG.standard_normal((1, 12)))
-        scheduler.flush()                    # evicts the abandoned result
-        pending = scheduler.submit(RNG.standard_normal((1, 12)))
-        with pytest.raises(RuntimeError, match="evicted"):
-            abandoned.result()
-        assert not pending.done()
-        assert scheduler.pending_rows == 1
-
-    def test_eviction_order_is_oldest_first(self, engine):
-        """Regression: the cap must drop the oldest flushed results."""
-        scheduler = BatchScheduler(engine, n_samples=2, max_batch=64,
-                                   max_retained_results=3)
-        tickets = []
-        for _ in range(5):
-            tickets.append(scheduler.submit(RNG.standard_normal((1, 12))))
-            scheduler.flush()
-        assert scheduler.stats.evicted == 2
-        for old in tickets[:2]:              # oldest two evicted
-            with pytest.raises(RuntimeError, match="evicted"):
-                old.result()
-        for recent in tickets[2:]:           # newest three survive
-            assert recent.result().probs.shape == (1, 3)
 
 
 class TestConcurrencyStress:
@@ -324,7 +302,60 @@ class TestConcurrencyStress:
         assert not errors
         assert scheduler.stats.requests == n_workers * per_worker
         assert scheduler.pending_rows == 0
-        assert not scheduler._results     # every ticket claimed its slice
+
+    def test_timer_timeouts_and_flushes_reconcile_admission(self, engine):
+        """Submits, forced and timed waits, explicit flushes and the
+        deadline timer from more threads than cores, under a short
+        switch interval: every ticket settles to one outcome, and the
+        admission counters account for exactly the rows handed back."""
+        admission = AdmissionController(AdmissionPolicy(max_queue_rows=4096))
+        scheduler = BatchScheduler(engine, n_samples=2, max_batch=8,
+                                   flush_interval=0.001,
+                                   admission=admission)
+        served, errors = [], []
+        lock = threading.Lock()
+
+        def worker(wid):
+            rng = np.random.default_rng(wid)
+            try:
+                for i in range(12):
+                    n_rows = 1 + (wid + i) % 3
+                    ticket = scheduler.submit(
+                        rng.standard_normal((n_rows, 12)))
+                    if i % 4 == 0:
+                        scheduler.flush()
+                    try:
+                        result = ticket.result(timeout=1e-4) \
+                            if i % 3 == 0 else ticket.result()
+                    except ResultTimeout:
+                        with pytest.raises(ResultTimeout):
+                            ticket.result()
+                        continue
+                    assert ticket.result() is result
+                    assert result.probs.shape == (n_rows, 3)
+                    with lock:
+                        served.append(n_rows)
+            except Exception as exc:         # pragma: no cover
+                errors.append(exc)
+
+        threads = [threading.Thread(target=worker, args=(w,))
+                   for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        scheduler.close()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert scheduler.stats.requests == 8 * 12
+        assert scheduler.pending_rows == 0
+        assert admission.served_rows == sum(served)
+        assert admission.cancelled_requests == scheduler.stats.timeouts
 
 
 class TestGroupFailureIsolation:
@@ -352,8 +383,8 @@ class TestGroupFailureIsolation:
         assert good.result().probs.shape == (2, 3)
         with pytest.raises(RuntimeError, match="boom"):
             bad.result()
-        # The failure slot is consumed like any result.
-        with pytest.raises(RuntimeError, match="already consumed"):
+        # The failure is the ticket's outcome: a retry re-raises it.
+        with pytest.raises(RuntimeError, match="boom"):
             bad.result()
 
 
@@ -413,8 +444,6 @@ class TestResultTimeout:
         assert scheduler.stats.timeouts == 0
 
     def test_expiry_raises_and_frees_the_queue_slot(self, engine):
-        from repro.serving import ResultTimeout
-
         scheduler = BatchScheduler(engine, n_samples=2, max_batch=64)
         abandoned = scheduler.submit(RNG.standard_normal((3, 12)))
         assert scheduler.pending_rows == 3
@@ -438,8 +467,6 @@ class TestResultTimeout:
         assert scheduler.stats.flushes == 1  # only the later request ran
 
     def test_timeout_does_not_force_a_flush(self, engine):
-        from repro.serving import ResultTimeout
-
         scheduler = BatchScheduler(engine, n_samples=2, max_batch=64)
         waiting = scheduler.submit(RNG.standard_normal((2, 12)))
         sibling = scheduler.submit(RNG.standard_normal((1, 12)))
@@ -469,3 +496,74 @@ class TestResultTimeout:
             ticket.result(timeout=-1.0)
         scheduler.flush()
         assert ticket.result().probs.shape == (1, 3)
+
+
+class _GatedEngine:
+    """Engine that blocks inside its call until released — holds a
+    flush in flight so a test can act while it runs."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def mc_forward_batched(self, x, n_samples=10, chunk_passes=None):
+        self.entered.set()
+        assert self.release.wait(timeout=5.0)
+        return self.engine.mc_forward_batched(
+            x, n_samples=n_samples, chunk_passes=chunk_passes)
+
+
+class TestFlushOutsideTheLock:
+    """The engine runs outside the scheduler lock: the queue stays
+    open while a flush is in flight."""
+
+    def test_submit_returns_while_a_flush_runs(self, engine):
+        gate = _GatedEngine(engine)
+        scheduler = BatchScheduler(gate, n_samples=2, max_batch=64)
+        first = scheduler.submit(RNG.standard_normal((2, 12)))
+        flusher = threading.Thread(target=scheduler.flush)
+        flusher.start()
+        submitted = []
+        try:
+            assert gate.entered.wait(timeout=5.0)
+            submitter = threading.Thread(target=lambda: submitted.append(
+                scheduler.submit(RNG.standard_normal((1, 12)))))
+            submitter.start()
+            submitter.join(timeout=2.0)
+            assert not submitter.is_alive()  # did not wait for the flush
+            assert not first.done()
+            assert scheduler.pending_rows == 1
+        finally:
+            gate.release.set()
+            flusher.join(timeout=10.0)
+        assert first.result().probs.shape == (2, 3)
+        assert scheduler.flush() == 1
+        assert submitted[0].result().probs.shape == (1, 3)
+
+    def test_expiry_mid_flush_raises_and_releases_rows(self, engine):
+        """A request whose flush is running is not recalled: its
+        ticket raises ResultTimeout on every retry, and its admitted
+        rows are released, exactly as an async cancel does."""
+        gate = _GatedEngine(engine)
+        admission = AdmissionController(AdmissionPolicy(max_queue_rows=64))
+        scheduler = BatchScheduler(gate, n_samples=2, admission=admission)
+        ticket = scheduler.submit(RNG.standard_normal((3, 12)))
+        flusher = threading.Thread(target=scheduler.flush)
+        flusher.start()
+        try:
+            assert gate.entered.wait(timeout=5.0)
+            with pytest.raises(ResultTimeout):
+                ticket.result(timeout=0.02)
+            with pytest.raises(ResultTimeout):
+                ticket.result(timeout=0.02)
+            assert admission.cancelled_rows == 3
+        finally:
+            gate.release.set()
+            flusher.join(timeout=10.0)
+        assert ticket.done()                 # the flush still ran it
+        with pytest.raises(ResultTimeout):
+            ticket.result()                  # its outcome is dropped
+        assert admission.served_rows == 0
+        assert scheduler.stats.timeouts == 1
+        assert scheduler.stats.flushes == 1

@@ -4,16 +4,20 @@ One factory builds every front-end — ``backend="sync" | "threads" |
 "procs" | "async"`` — behind one :class:`Frontend` protocol with one
 normalized ``submit(x, *, model=, n_samples=, feature_shape=,
 deadline_s=)`` signature, and all four serve bit-identical results
-for the same model source.  Legacy ``serve()`` kwargs are absorbed
-with a DeprecationWarning; the typed error taxonomy lives in
-``repro.serving.errors``; and admission accounting must reconcile on
-every cancellation path (the async cancel-after-flush leak this PR
-fixes, plus the sync timeout-withdraw).
+for the same model source.  Every knob lives on ``ServingConfig``
+(``serve()`` takes no other keywords), a failed build releases what
+it started, the typed error taxonomy lives in
+``repro.serving.errors``, and admission accounting must reconcile on
+every cancellation path (async cancel after the flush started, async
+cancel while queued, and the sync timeout-withdraw).
 """
 
 import asyncio
+import glob
+import multiprocessing
+import os
+import tempfile
 import threading
-import warnings
 
 import numpy as np
 import pytest
@@ -131,43 +135,72 @@ class TestServeBackends:
 
 
 # ----------------------------------------------------------------------
-# Legacy kwargs: absorbed, warned about, never mutating the caller's
-# config
+# Keywords: every knob lives on ServingConfig, which serve() only reads
 # ----------------------------------------------------------------------
 class TestLegacyKwargs:
-    def test_legacy_kwargs_warn_and_apply(self, snapshot_path):
-        with pytest.warns(DeprecationWarning,
-                          match="ServingConfig.flush_interval"):
-            f = serve(snapshot_path, backend="sync", flush_interval=0.5)
-        try:
-            assert f.scheduler.flush_interval == 0.5
-        finally:
-            f.close()
-
-    def test_legacy_registry_kwarg(self, snapshot_path):
+    def test_legacy_kwargs_are_rejected(self, snapshot_path):
         registry = ModelRegistry()
         registry.register("mlp", snapshot=snapshot_path)
-        with pytest.warns(DeprecationWarning, match="ServingConfig.registry"):
-            f = serve(None, backend="sync", registry=registry,
-                      config=ServingConfig(n_samples=2,
-                                           default_model="mlp"))
-        try:
-            assert f.predict(X).samples.shape == (2, 4, 3)
-        finally:
-            f.close()
+        for key, value in (("flush_interval", 0.5),
+                           ("registry", registry),
+                           ("max_pending_rows", 8),
+                           ("controlplane", None)):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                serve(snapshot_path, backend="sync", **{key: value})
 
     def test_unknown_kwarg_raises(self, snapshot_path):
         with pytest.raises(TypeError, match="unexpected keyword"):
             serve(snapshot_path, backend="sync", turbo=True)
 
     def test_caller_config_is_not_mutated(self, snapshot_path):
-        config = ServingConfig(n_samples=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            f = serve(snapshot_path, backend="sync", config=config,
-                      flush_interval=0.5)
-        f.close()
-        assert config.flush_interval is None
+        """The async front-end shares one metrics collector with its
+        scheduler; adopting it must not write back into the config."""
+        config = ServingConfig(n_samples=2, flush_interval=0.5)
+
+        async def build_and_close():
+            async with serve(snapshot_path, backend="async",
+                             config=config) as f:
+                assert f.metrics() is f.scheduler.metrics
+        asyncio.run(build_and_close())
+        assert config == ServingConfig(n_samples=2, flush_interval=0.5)
+
+
+# ----------------------------------------------------------------------
+# A failed procs build releases its workers, shm and temp snapshot
+# ----------------------------------------------------------------------
+def _leftovers():
+    """Child processes, shared-memory segments and temp snapshots."""
+    shm = set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") \
+        else set()
+    return ({p.pid for p in multiprocessing.active_children()}, shm,
+            set(glob.glob(os.path.join(tempfile.gettempdir(),
+                                       "repro-serve-*"))))
+
+
+@pytest.mark.procpool
+class TestProcsBuildFailure:
+    def test_registry_source_rejected_before_spawning(self, snapshot_path):
+        registry = ModelRegistry()
+        registry.register("mlp", snapshot=snapshot_path)
+        before = _leftovers()
+        with pytest.raises(ValueError, match="replicates one model"):
+            serve(None, backend="procs",
+                  config=ServingConfig(registry=registry,
+                                       default_model="mlp"))
+        children, shm, tempdirs = _leftovers()
+        assert children <= before[0]
+        assert shm <= before[1] and tempdirs <= before[2]
+
+    def test_later_failure_closes_pool_and_tempdir(self):
+        before = _leftovers()
+        # An engine source is persisted to a temp snapshot, the pool
+        # boots from it, and the scheduler then rejects n_samples=0.
+        with pytest.raises(ValueError, match="MC sample"):
+            serve(_factory(), backend="procs",
+                  config=ServingConfig(n_samples=0, replicas=1))
+        children, shm, tempdirs = _leftovers()
+        assert children <= before[0]
+        assert shm <= before[1] and tempdirs <= before[2]
 
 
 # ----------------------------------------------------------------------
@@ -202,10 +235,6 @@ class TestErrorsModule:
         for name in ("AdmissionRejected", "Overload", "QueueFull",
                      "RemoteEngineError", "ResultTimeout", "WorkerDied"):
             assert getattr(serving, name) is getattr(serving_errors, name)
-
-    def test_scheduler_backcompat_alias(self):
-        from repro.serving import scheduler
-        assert scheduler.ResultTimeout is serving_errors.ResultTimeout
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ from repro.serving import (
     Autoscaler,
     BatchScheduler,
     LoadMetrics,
+    ResultTimeout,
     ShardedScheduler,
 )
 from repro.serving.faults import PoisonEngine
@@ -85,6 +86,35 @@ class TestSubmitPredict:
         assert result.samples.shape == (5, 3, 3)
         np.testing.assert_allclose(result.probs.sum(axis=-1), 1.0,
                                    rtol=1e-9)
+
+    def test_predict_takes_submit_keywords(self):
+        async def go():
+            async with AsyncBatchScheduler(
+                    BatchScheduler(_engine(), n_samples=2)) as frontend:
+                return await frontend.predict(
+                    RNG.standard_normal(12), n_samples=3,
+                    feature_shape=(12,), deadline_s=5.0)
+
+        assert run(go()).samples.shape == (3, 1, 3)
+
+    def test_deadline_expiry_withdraws_and_reraises(self):
+        """The sync ticket's expiry rule: the request leaves the
+        queue, and every retry raises ResultTimeout again."""
+        async def go():
+            inner = BatchScheduler(_engine(), n_samples=2, max_batch=64)
+            async with AsyncBatchScheduler(
+                    inner, flush_interval=30.0) as frontend:
+                ticket = await frontend.submit(
+                    RNG.standard_normal((2, 12)), deadline_s=0.02)
+                for _ in range(2):
+                    with pytest.raises(ResultTimeout):
+                        await ticket.result()
+                await asyncio.sleep(0)     # let the done-callback run
+                assert frontend.pending_rows == 0
+                assert frontend.in_flight_rows == 0
+                assert await frontend.flush() == 0
+
+        run(go())
 
     def test_max_batch_triggers_flush(self):
         async def go():
@@ -362,6 +392,9 @@ class TestMetricsAndScaling:
                     sharded, autoscaler=scaler) as frontend:
                 result = await frontend.predict(
                     RNG.standard_normal((2, 12)))
+                # A ticket resolves as soon as its group is served;
+                # the policy step follows once the whole flush is done.
+                await frontend.drain()
                 assert isinstance(frontend.last_autoscale_error,
                                   RuntimeError)
                 return result
