@@ -62,7 +62,7 @@ def main() -> None:
         VariabilityParams(sigma_r=0.03, sigma_delta=0.03, sigma_read=0.01),
         rng=np.random.default_rng(3))
     deployed = BayesianCim(model, CimConfig(variability=variability,
-                                            adc_bits=6, seed=3))
+                                            adc_bits=6, seed=3), seed=3)
     print(f"deployed: {deployed.network.n_crossbars} crossbars, "
           f"{deployed.n_dropout_modules} MTJ dropout modules")
 

@@ -61,7 +61,7 @@ def main() -> None:
                 rng=np.random.default_rng(7))
         cim = CimConfig(defects=defects, seed=7)
         for name, model in models.items():
-            deployed = BayesianCim(model, cim)
+            deployed = BayesianCim(model, cim, seed=7)
             if name == "deterministic":
                 logits = deployed.deterministic_forward(x_eval)
                 acc = (logits.argmax(-1) == y_eval).mean()

@@ -25,9 +25,11 @@ Two kernel-substrate gates (``engines.bitpack_mvm`` and
 (:mod:`repro.tensor.bitpack`) against the float32 exact-integer route
 it shadows, on the memory-bound small-batch × wide-matrix shapes the
 packed kernel exists for.  Both verify bit-exactness first — the raw
-kernel against the float GEMV, and a forced-``use_bitpack``
-:class:`CimLinear` against its own float route including op-ledger
-totals — and fail below ``--bitpack-min-speedup`` (default 4×).
+kernel against the float GEMV, and a :class:`CimLinear` on the route
+its policy picks (packed, checked) against the same layer with
+``bitpack.packed_route_beneficial`` patched to pick the float route,
+including op-ledger totals — and fail below ``--bitpack-min-speedup``
+(default 4×).
 
 A serving-level gate replays the same Poisson arrival workload
 through the threaded ``ShardedScheduler`` (thread-per-client
@@ -72,6 +74,7 @@ engines fails the build even when all functional tests pass.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -164,9 +167,10 @@ CIM_CONV_SAMPLES = 10
 # Bit-packed XNOR kernel slice: the packed route's win is the
 # memory-bound regime (a small batch of wordline drives against a
 # wide packed matrix, 64x less weight traffic).  The raw-kernel gate
-# times the widest shape; the layer gate runs a forced-use_bitpack
-# CimLinear on a single 4096-row crossbar (ADC step 131, odd, so the
-# exact-integer precondition holds) against its own float32 route.
+# times the widest shape; the layer gate runs a CimLinear on a single
+# 4096-row crossbar (ADC step 131, odd, so the exact-integer
+# precondition holds), which the route policy packs at batch 2,
+# against the same layer with the policy pinned to the float32 route.
 BITPACK_MVM_SHAPE = (2, 4096, 4096)       # batch, K, n_cols
 BITPACK_LINEAR_SHAPE = (2, 4096, 2048)    # batch, in, out
 # Lifecycle slice: snapshot restore vs recompile is only worth gating
@@ -345,13 +349,25 @@ def _gate_segmentation(min_speedup):
     }
 
 
+@contextlib.contextmanager
+def _float_route():
+    """Pin the crossbar route policy to the float32 GEMM."""
+    from repro.tensor import bitpack
+
+    policy = bitpack.packed_route_beneficial
+    bitpack.packed_route_beneficial = lambda batch, k, n_cols: False
+    try:
+        yield
+    finally:
+        bitpack.packed_route_beneficial = policy
+
+
 def _gate_bitpack(min_speedup):
     """Bit-exactness + timed gates for the packed XNOR kernel.
 
     Returns ``(bitpack_mvm, bitpack_linear)`` records, or None on an
-    exactness failure.  Weights are packed outside the timed region —
-    exactly the deployment contract (program/compile/snapshot packs
-    once, serving never does).
+    exactness failure.  Weights are packed outside the timed region,
+    as in deployment: a crossbar packs once, on its first packed MVM.
     """
     from repro.cim import OpLedger
     from repro.cim.layers import CimLinear
@@ -392,8 +408,9 @@ def _gate_bitpack(min_speedup):
         "model": f"packed_mvm {b}x{k} @ {k}x{c} vs float32 GEMV",
     }
 
-    # A deployed CimLinear with the route forced on vs forced off:
-    # same outputs bit-for-bit, same ledger totals, gated speedup.
+    # A deployed CimLinear on the route its policy picks (packed) vs
+    # pinned to the float route: same outputs bit-for-bit, same ledger
+    # totals, gated speedup.
     b, k, c = BITPACK_LINEAR_SHAPE
     w = np.sign(rng.standard_normal((c, k)))
     w[w == 0] = 1.0
@@ -403,13 +420,15 @@ def _gate_bitpack(min_speedup):
     layer.ledger.reset()            # drop programming's mtj_write entries
     x = np.sign(rng.standard_normal((b, k)))
     x[x == 0] = 1.0
-    layer.use_bitpack = False
-    float_out = layer.forward(x)
+    with _float_route():
+        float_out = layer.forward(x)
     float_ledger = layer.ledger.as_dict()
     layer.ledger.reset()
-    layer.use_bitpack = True
     packed_out = layer.forward(x)           # also warms the packed cache
     packed_ledger = layer.ledger.as_dict()
+    if layer.crossbars[0][0]._w_packed_t is None:
+        print("FAIL: the route policy did not pack the CimLinear layer")
+        return None
     if not np.array_equal(float_out, packed_out):
         print("FAIL: CimLinear packed route differs from the float route")
         return None
@@ -417,8 +436,8 @@ def _gate_bitpack(min_speedup):
         print("FAIL: CimLinear packed route books different ledger totals")
         return None
     packed_s = _best_of(lambda: layer.forward(x), REPEATS)
-    layer.use_bitpack = False
-    float_s = _best_of(lambda: layer.forward(x), REPEATS)
+    with _float_route():
+        float_s = _best_of(lambda: layer.forward(x), REPEATS)
     linear_record = {
         "batch": b,
         "k": k,
@@ -430,7 +449,7 @@ def _gate_bitpack(min_speedup):
         "min_speedup": min_speedup,
         "bit_exact": True,
         "popcount_backend": bitpack.popcount_backend(),
-        "model": f"CimLinear {k}->{c} batch {b} forced use_bitpack "
+        "model": f"CimLinear {k}->{c} batch {b} policy-packed "
                  "vs float exact route",
     }
     return mvm_record, linear_record

@@ -123,13 +123,6 @@ class BayesianCim:
             if isinstance(stage, FrozenNorm) and isinstance(layer, AffineDropout):
                 self._bind_affine(layer, stage, rng_var)
         self.network = CimNetwork(stages, self.ledger, self.config)
-        if self.config.use_bitpack:
-            # Pay the XNOR-kernel pack cost at deploy time, not on the
-            # first serving call (mirrors compile_to_cim).
-            for stage in self.network.mvm_layers():
-                for row in stage.crossbars:
-                    for bar in row:
-                        bar.packed_weights_t()
 
     # ------------------------------------------------------------------
     @classmethod

@@ -325,21 +325,10 @@ class SegmenterEngine:
     >>> scheduler = BatchScheduler(engine, feature_shape=(1, 16, 16))
     >>> maps = pixel_maps(scheduler.submit(images).result(),
     ...                   (len(images), 16, 16))
-
-    ``use_bitpack`` (None = leave each conv on auto, True/False =
-    force/disable) propagates the bit-packed XNOR/popcount kernel
-    toggle to every :class:`~repro.nn.binary.BinaryConv2d` in the
-    model; the packed route is bit-identical to the float one.
     """
 
-    def __init__(self, model: nn.Module, use_bitpack: Optional[bool] = None):
+    def __init__(self, model: nn.Module):
         self.model = model
-        if use_bitpack is not None:
-            from repro.nn.binary import BinaryConv2d
-            for sub in model.modules():
-                if isinstance(sub, BinaryConv2d):
-                    sub.use_bitpack = use_bitpack
-                    sub.invalidate_bitpack()
 
     def mc_forward_batched(self, x: np.ndarray, n_samples: int = 10,
                            chunk_passes: Optional[int] = None

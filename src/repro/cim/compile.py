@@ -110,10 +110,9 @@ def compile_to_cim(model: nn.Sequential,
     full-precision ``Linear`` — spintronic CIM stores binary weights
     only, paper Sec. II-D).
 
-    With ``config.use_bitpack`` set, the bit-packed weight planes of
-    every crossbar are built here, once, so serving never pays the
-    pack cost (reprogramming a crossbar invalidates its planes and the
-    next packed MVM rebuilds them).
+    Crossbars are not bit-packed here: a crossbar packs its weight
+    planes on its first packed MVM (the route policy picks that
+    route per call), and reprogramming drops them again.
     """
     config = config or CimConfig()
     ledger = OpLedger()
@@ -122,13 +121,7 @@ def compile_to_cim(model: nn.Sequential,
         stage = _deploy_layer(layer, config, ledger)
         if stage is not None:
             stages.append(stage)
-    network = CimNetwork(stages, ledger, config)
-    if config.use_bitpack:
-        for stage in network.mvm_layers():
-            for row in stage.crossbars:
-                for bar in row:
-                    bar.packed_weights_t()
-    return network
+    return CimNetwork(stages, ledger, config)
 
 
 def _deploy_layer(layer: nn.Module, config: CimConfig,

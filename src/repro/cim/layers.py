@@ -48,7 +48,6 @@ class CimConfig:
                  max_cols: int = 128,
                  wire_resistance: float = 0.0,
                  mapping_strategy: MappingStrategy = MappingStrategy.UNFOLDED_COLUMN,
-                 use_bitpack: Optional[bool] = None,
                  seed: Optional[int] = None):
         self.mtj_params = mtj_params or MTJParams()
         self.variability = variability
@@ -58,10 +57,6 @@ class CimConfig:
         self.max_cols = max_cols
         self.wire_resistance = wire_resistance
         self.mapping_strategy = mapping_strategy
-        # Deployment-wide default for the layers' bit-packed XNOR
-        # route: None = auto (per-shape heuristic), True = force the
-        # packed kernel, False = always the float32 exact route.
-        self.use_bitpack = use_bitpack
         self.rng = np.random.default_rng(seed)
 
 
@@ -94,16 +89,17 @@ class CimLinear(CimLayer):
     crossbar's decoded MAC is a small integer, float32 represents it
     exactly, and an odd step means ``rint(mac / step)`` can never land
     on a rounding tie — so the float32 GEMM is bit-identical to the
-    analog simulation (and books the same ledger entries).  Set
-    ``exact_route = False`` to force the analog path.
+    analog simulation (and books the same ledger entries).  Whether a
+    layer qualifies (``_exact_ok``) is fixed when it is built or
+    restored; layers that do not stay on the analog path.
 
-    Inside the exact route, ``use_bitpack`` selects the bit-packed
-    XNOR/popcount kernel (:mod:`repro.tensor.bitpack`): ``None``
-    defers to a per-shape heuristic (packed wins only on small-batch
-    × wide-matrix MVMs), ``True`` forces it, ``False`` pins the
-    float32 GEMM.  Both produce bit-identical outputs and identical
-    ledger totals — the packed kernel computes the same integer MAC
-    the float route does, just 64 weights per word of traffic.
+    Inside the exact route, each row chunk asks
+    :func:`repro.tensor.bitpack.packed_route_beneficial` whether the
+    bit-packed XNOR/popcount kernel beats the float32 GEMM for this
+    call's shape (packed wins only on small-batch × wide-matrix
+    MVMs).  Both produce bit-identical outputs and identical ledger
+    totals — the packed kernel computes the same integer MAC the
+    float route does, just 64 weights per word of traffic.
 
     ``program=False`` builds the crossbar grid without programming it
     (no RNG draws, no ``mtj_write`` bookings) so captured conductance
@@ -150,12 +146,6 @@ class CimLinear(CimLayer):
             self.adcs.append(PopcountADC(config.adc_bits, r1 - r0,
                                          ledger=ledger))
 
-        self.exact_route = True      # opt-out switch (tests, benches)
-        # Bit-packed XNOR route inside the exact route: None defers to
-        # the per-shape heuristic, True forces the packed kernel,
-        # False pins the float32 GEMM.  Mirrors ``exact_route`` so the
-        # differential tests can flip it per layer.
-        self.use_bitpack: Optional[bool] = config.use_bitpack
         self._exact_ok = (
             all(bar.is_ideal for row in self.crossbars for bar in row)
             and all(adc.step % 2 == 1 for adc in self.adcs))
@@ -171,8 +161,6 @@ class CimLinear(CimLayer):
             "type": "cim_linear",
             "out_features": self.out_features,
             "in_features": self.in_features,
-            "exact_route": bool(self.exact_route),
-            "use_bitpack": self.use_bitpack,
         }
         arrays = {}
         if self.scale is not None:
@@ -201,15 +189,12 @@ class CimLinear(CimLayer):
                     "g_complement": arrays[f"xb{i}_{j}_g_complement"],
                     "w_packed_t": arrays.get(f"xb{i}_{j}_w_packed_t"),
                 })
-        self.exact_route = bool(meta["exact_route"])
-        self.use_bitpack = meta.get("use_bitpack")
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         lead, x = split_leading_axes(x, 1)   # e.g. (T, N, F) sample axis
         bits = np.sign(x)     # binarize; exact zeros stay gated (dropout)
-        exact = self.exact_route and self._exact_ok
         out = np.zeros((x.shape[0], self.out_features))
         partial = np.zeros_like(out)
         for i, (r0, r1) in enumerate(self.row_chunks):
@@ -221,30 +206,26 @@ class CimLinear(CimLayer):
                                    dtype=np.float64)[r0:r1] > 0
                         ).astype(np.float64)
                 chunk = chunk * gate
-            if exact:
-                packed = self.use_bitpack
-                if packed is None:
-                    packed = bitpack.packed_route_beneficial(
-                        chunk.shape[0], r1 - r0, self.out_features)
-                if packed:
-                    planes = bitpack.pack_ternary_rows(chunk)
-                    for j, (c0, c1) in enumerate(self.col_chunks):
-                        self.crossbars[i][j].mvm_packed(
-                            planes, out=partial[:, c0:c1])
-                else:
-                    chunk32 = chunk.astype(np.float32)
-                    total_active = int(np.count_nonzero(chunk32))
-                    for j, (c0, c1) in enumerate(self.col_chunks):
-                        bar = self.crossbars[i][j]
-                        partial[:, c0:c1] = chunk32 @ bar.signed_weights_t().T
-                        bar.book_mvm(total_active)
-            else:
+            if not self._exact_ok:
                 pos = (chunk > 0).astype(np.float64)
                 neg = (chunk < 0).astype(np.float64)
                 n_active = (pos + neg).sum(axis=1, keepdims=True)
                 for j, (c0, c1) in enumerate(self.col_chunks):
                     partial[:, c0:c1] = self.crossbars[i][j].mvm_prepared(
                         pos, neg, n_active)
+            elif bitpack.packed_route_beneficial(
+                    chunk.shape[0], r1 - r0, self.out_features):
+                planes = bitpack.pack_ternary_rows(chunk)
+                for j, (c0, c1) in enumerate(self.col_chunks):
+                    self.crossbars[i][j].mvm_packed(
+                        planes, out=partial[:, c0:c1])
+            else:
+                chunk32 = chunk.astype(np.float32)
+                total_active = int(np.count_nonzero(chunk32))
+                for j, (c0, c1) in enumerate(self.col_chunks):
+                    bar = self.crossbars[i][j]
+                    partial[:, c0:c1] = chunk32 @ bar.signed_weights_t().T
+                    bar.book_mvm(total_active)
             out += self.adcs[i].convert(partial)
         if self.scale is not None:
             out = out * (self.scale * self.scale_multiplier)
@@ -282,11 +263,11 @@ class CimConv2d(CimLayer):
     deviation from the integer is ~1e-13 of float64 decode noise.
     (An even step *can* tie exactly at odd MACs, where that noise
     would decide the rounding — such layers stay on the analog path.)
-    Set ``exact_route = False`` to force the analog path; within the
-    exact route ``use_bitpack`` (None/True/False, as in
-    :class:`CimLinear`) selects the bit-packed XNOR kernel, which
-    packs the im2col patch slab column-major and yields the same
-    integer partial sums bit for bit.
+    Within the exact route the bit-packed XNOR kernel is picked per
+    row chunk and call by
+    :func:`repro.tensor.bitpack.packed_route_beneficial`, as in
+    :class:`CimLinear`; it packs the im2col patch slab column-major
+    and yields the same integer partial sums bit for bit.
 
     ``channel_mask`` (settable per pass, shape (C_in,)) gates all
     wordline groups / sub-crossbars belonging to an input feature map —
@@ -355,9 +336,6 @@ class CimConv2d(CimLayer):
                 self.adcs.append(PopcountADC(config.adc_bits, r1 - r0,
                                              ledger=ledger))
 
-        self.exact_route = True      # opt-out switch (tests, benches)
-        # Same tri-state as CimLinear.use_bitpack (None/True/False).
-        self.use_bitpack: Optional[bool] = config.use_bitpack
         self._exact_ok = (
             all(bar.is_ideal for row in self.crossbars for bar in row)
             and all(adc.step % 2 == 1 for adc in self.adcs))
@@ -374,8 +352,6 @@ class CimConv2d(CimLayer):
             "padding": self.padding,
             "dilation": self.dilation,
             "groups": self.groups,
-            "exact_route": bool(self.exact_route),
-            "use_bitpack": self.use_bitpack,
         }
         arrays = {}
         if self.scale is not None:
@@ -407,8 +383,6 @@ class CimConv2d(CimLayer):
                     "g_complement": arrays[f"xb{f}_{j}_g_complement"],
                     "w_packed_t": arrays.get(f"xb{f}_{j}_w_packed_t"),
                 })
-        self.exact_route = bool(meta["exact_route"])
-        self.use_bitpack = meta.get("use_bitpack")
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -417,8 +391,7 @@ class CimConv2d(CimLayer):
         n = x.shape[0]
         kh = self.kh
         k2 = kh * kh
-        exact = self.exact_route and self._exact_ok
-        dtype = np.dtype(np.float32 if exact else np.float64)
+        dtype = np.dtype(np.float32 if self._exact_ok else np.float64)
 
         # Binarize in float64 (a denormal that underflows to 0.0 in
         # float32 must still drive its wordline) before the arena
@@ -450,29 +423,24 @@ class CimConv2d(CimLayer):
             for i, (r0, r1) in enumerate(self.plan.row_chunks):
                 chunk = patches[g * rows_pg + r0:g * rows_pg + r1]
                 bars = self.crossbars[g * n_rc + i]
-                if exact:
-                    packed = self.use_bitpack
-                    if packed is None:
-                        packed = bitpack.packed_route_beneficial(
-                            ln, r1 - r0, cog)
-                    if packed:
-                        planes = bitpack.pack_ternary_cols(chunk)
-                        for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                            bars[j].mvm_packed(planes, out=partial[c0:c1],
-                                               col_major=True)
-                    else:
-                        total_active = int(np.count_nonzero(chunk))
-                        for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                            np.matmul(bars[j].signed_weights_t(), chunk,
-                                      out=partial[c0:c1])
-                            bars[j].book_mvm(total_active)
-                else:
+                if not self._exact_ok:
                     pos_t = (chunk > 0).astype(np.float64)
                     neg_t = (chunk < 0).astype(np.float64)
                     n_active = (pos_t + neg_t).sum(axis=0)
                     for j, (c0, c1) in enumerate(self.plan.col_chunks):
                         partial[c0:c1] = bars[j].mvm_cols(pos_t, neg_t,
                                                           n_active)
+                elif bitpack.packed_route_beneficial(ln, r1 - r0, cog):
+                    planes = bitpack.pack_ternary_cols(chunk)
+                    for j, (c0, c1) in enumerate(self.plan.col_chunks):
+                        bars[j].mvm_packed(planes, out=partial[c0:c1],
+                                           col_major=True)
+                else:
+                    total_active = int(np.count_nonzero(chunk))
+                    for j, (c0, c1) in enumerate(self.plan.col_chunks):
+                        np.matmul(bars[j].signed_weights_t(), chunk,
+                                  out=partial[c0:c1])
+                        bars[j].book_mvm(total_active)
                 out_g += self.adcs[g * n_rc + i].convert(partial)
 
         out = out.reshape(self.c_out, length, n)

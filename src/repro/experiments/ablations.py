@@ -105,7 +105,7 @@ def defect_robustness(fast: bool = True, seed: int = 0,
                                     rng=np.random.default_rng(seed + 13))
                 if rate > 0 else None,
                 seed=seed + 17)
-            deployed = BayesianCim(model, cim_config)
+            deployed = BayesianCim(model, cim_config, seed=seed + 17)
             if name == "deterministic":
                 logits = deployed.deterministic_forward(x_eval)
                 acc = float((logits.argmax(-1) == y_eval).mean())
@@ -246,7 +246,8 @@ def adc_resolution_sweep(fast: bool = True, seed: int = 0,
     x, y = data.x_test[:n_eval], data.y_test[:n_eval]
     out: Dict[int, float] = {}
     for bits in bit_grid:
-        deployed = BayesianCim(model, CimConfig(adc_bits=bits, seed=seed))
+        deployed = BayesianCim(model, CimConfig(adc_bits=bits, seed=seed),
+                               seed=seed)
         result = deployed.mc_forward(x, config.mc_samples)
         out[bits] = mc_accuracy(result, y)
     return out
@@ -270,7 +271,7 @@ def wire_resistance_sweep(fast: bool = True, seed: int = 0,
     out: Dict[float, float] = {}
     for r_wire in resistances:
         deployed = BayesianCim(model, CimConfig(wire_resistance=r_wire,
-                                                seed=seed))
+                                                seed=seed), seed=seed)
         result = deployed.mc_forward(x, config.mc_samples)
         out[r_wire] = mc_accuracy(result, y)
     return out

@@ -284,7 +284,8 @@ def run_c4_affine(fast: bool = True, seed: int = 0) -> AffineClaims:
         return CimConfig(
             defects=DefectModel(rates, rng=np.random.default_rng(s)),
             seed=s)
-    dep_affine = BayesianCim(affine, _faulty_config(seed + 1))
+    dep_affine = BayesianCim(affine, _faulty_config(seed + 1),
+                             seed=seed + 1)
     faulty_affine = mc_accuracy(
         dep_affine.mc_forward(x_eval, config.mc_samples), y_eval)
     dep_base = compile_to_cim(baseline, _faulty_config(seed + 1))

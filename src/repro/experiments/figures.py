@@ -129,7 +129,7 @@ def run_fig2_breakdown(fast: bool = True, seed: int = 0) -> Dict[str, float]:
     model = make_scaledrop_mlp(data.n_features, (64,) if fast else (256, 128),
                                data.n_classes, seed=seed)
     train_classifier(model, data, config, scale_reg_strength=1e-3)
-    deployed = BayesianCim(model, CimConfig(seed=seed))
+    deployed = BayesianCim(model, CimConfig(seed=seed), seed=seed)
     n = 50 if fast else 200
     deployed.ledger.reset()
     deployed.mc_forward(data.x_test[:n], n_samples=config.mc_samples)

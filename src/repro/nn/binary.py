@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.tensor import Tensor, bitpack, functional as F, is_grad_enabled
+from repro.tensor import Tensor, functional as F, is_grad_enabled
 from repro.tensor.functional import _conv2d_infer
 from repro.nn.module import Module, Parameter
 
@@ -65,14 +65,6 @@ class BinaryConv2d(Module):
     the deployed :class:`repro.cim.CimConv2d` mirrors both (grouped
     kernels map to independent crossbar grids, dilation only changes
     the im2col plan feeding the wordlines).
-
-    ``use_bitpack`` (None = auto, True = force, False = off) selects
-    the bit-packed XNOR/popcount kernel on the no-grad inference path,
-    bit-identical to the float route.  With the route forced on, the
-    packed kernel operand is cached across inference calls and dropped
-    on every grad-mode forward (a training step is about to move the
-    weights); code that mutates ``weight.data`` outside training must
-    call :meth:`invalidate_bitpack` itself.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -101,20 +93,13 @@ class BinaryConv2d(Module):
                   kernel_size, kernel_size)))
         self.scale = Parameter(np.ones(out_channels)) if scale else None
         self.bias = Parameter(np.zeros(out_channels)) if bias else None
-        self.use_bitpack: Optional[bool] = None
-        self._packed_weight = None     # per-group PackedWeights cache
 
     def binary_weight(self) -> Tensor:
         return F.sign_ste(self.weight)
 
-    def invalidate_bitpack(self) -> None:
-        """Drop the cached packed kernel (weights changed)."""
-        self._packed_weight = None
-
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
             return Tensor(self._forward_infer(x.data))
-        self._packed_weight = None     # training step: weights will move
         if self.binarize_input:
             x = F.sign_ste(x)
         out = F.conv2d(x, self.binary_weight(), bias=None,
@@ -134,12 +119,8 @@ class BinaryConv2d(Module):
         if self.binarize_input:
             x = np.where(x >= 0, 1.0, -1.0)
         w = np.where(self.weight.data >= 0, 1.0, -1.0)
-        if self.use_bitpack and self._packed_weight is None:
-            self._packed_weight = bitpack.pack_weight_groups(w, self.groups)
         out = _conv2d_infer(x, w, None, self.stride, self.padding,
-                            self.dilation, self.groups,
-                            use_bitpack=self.use_bitpack,
-                            packed_weights=self._packed_weight)
+                            self.dilation, self.groups)
         if self.scale is not None:
             out *= self.scale.data.reshape(1, -1, 1, 1)
         if self.bias is not None:

@@ -20,7 +20,6 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.tensor import bitpack
 from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled, _unbroadcast
 
 Axis = Union[None, int, Tuple[int, ...]]
@@ -643,9 +642,7 @@ def _gather_padded_patches(x: np.ndarray, kh: int, kw: int, stride: int,
 def _conv2d_infer(x: np.ndarray, weight: np.ndarray,
                   bias: Optional[np.ndarray], stride: int,
                   padding: int, dilation: int = 1,
-                  groups: int = 1,
-                  use_bitpack: Optional[bool] = None,
-                  packed_weights=None) -> np.ndarray:
+                  groups: int = 1) -> np.ndarray:
     """Inference conv kernel: gather straight into GEMM layout.
 
     Bit-identical to the im2col/einsum training path on binary data
@@ -673,17 +670,9 @@ def _conv2d_infer(x: np.ndarray, weight: np.ndarray,
       arithmetic is what makes the crossbar readout (and this
       shortcut) lossless.
 
-    Within the exact route, ``use_bitpack`` selects the bit-packed
-    XNOR/popcount kernel of :mod:`repro.tensor.bitpack` (None = auto,
-    True = force, False = float32 GEMM): the im2col slab is packed
-    column-major into sign/active planes and each group's GEMM becomes
-    a word-loop popcount, with bit-identical integer partial sums.
-    ``packed_weights`` is a per-group list of pre-packed kernel
-    operands (see :func:`repro.tensor.bitpack.pack_weight_groups`);
-    when omitted under a forced route the kernel is packed per call,
-    which is correct but costs more than the GEMV it replaces — the
-    auto heuristic therefore only ever takes the packed route with
-    pre-packed weights.
+    The bit-packed XNOR kernel is not used here: callers re-derive the
+    weights from their latent parameters on every call, and packing
+    them per call costs more than the GEMM it would replace.
     """
     c_out, c_in_pg, kh, kw = weight.shape
     # Exact-integer route: products are ±x and |sum| <= C·KH·KW, far
@@ -705,24 +694,7 @@ def _conv2d_infer(x: np.ndarray, weight: np.ndarray,
     (out_buf,) = _conv_scratch_buffers(
         ("conv_out", c_out, ln, dtype.str),
         lambda: (np.empty((c_out, ln), dtype=dtype),))
-    packed = False
-    if exact_binary:
-        if use_bitpack is None:
-            packed = (packed_weights is not None
-                      and bitpack.packed_route_beneficial(
-                          ln, f_g, c_out // groups))
-        else:
-            packed = bool(use_bitpack)
-    if packed:
-        if packed_weights is None:
-            packed_weights = bitpack.pack_weight_groups(weight, groups)
-        grouped_in = gather_buf.reshape(groups, f_g, ln)
-        grouped_out = out_buf.reshape(groups, c_out // groups, ln)
-        for g in range(groups):
-            bitpack.packed_mvm(bitpack.pack_ternary_cols(grouped_in[g]),
-                               packed_weights[g], out=grouped_out[g],
-                               col_major=True)
-    elif groups == 1:
+    if groups == 1:
         np.matmul(weight.reshape(c_out, -1).astype(dtype),
                   gather_buf.reshape(f_g, ln), out=out_buf)
     else:

@@ -193,16 +193,6 @@ class TestPackedMvm:
             bp.packed_mvm(bp.pack_ternary_rows(np.ones((1, 64))),
                           bp.pack_weights(np.ones((65, 2))))
 
-    def test_pack_weight_groups(self):
-        rng = np.random.default_rng(9)
-        w = _binary(rng, (6, 2, 3, 3))   # C_out=6, groups=2 → f_g=18
-        packs = bp.pack_weight_groups(w, 2)
-        assert len(packs) == 2
-        flat = w.reshape(2, 3, -1)
-        for g in range(2):
-            np.testing.assert_array_equal(bp.unpack_weights(packs[g]),
-                                          flat[g].T)
-
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_seeded_fuzz(self, backend):
         """Random shapes/sparsity: packed == float, both layouts."""
@@ -227,10 +217,6 @@ class TestPackedMvm:
 # Route heuristic.
 
 class TestRouteHeuristic:
-    def test_requires_prepacked_weights(self):
-        assert not bp.packed_route_beneficial(2, 4096, 4096,
-                                              weights_prepacked=False)
-
     def test_memory_bound_gemv_wins(self):
         assert bp.packed_route_beneficial(2, 4096, 4096)
         assert bp.packed_route_beneficial(4, 1024, 1024)
@@ -325,21 +311,56 @@ class TestPackedStaleness:
         with pytest.raises(RuntimeError, match="ideal"):
             bar.mvm_packed(bp.pack_ternary_rows(np.ones((1, 64))))
 
-    def test_cim_linear_defect_injection_routes_agree(self):
+    def test_cim_linear_defect_injection_routes_agree(self, force_route,
+                                                      packed_calls):
         """Layer-level regression: inject faults after compile, then
         the forced-packed and float routes still agree bit-for-bit."""
         rng = np.random.default_rng(10)
-        w = _binary(rng, (24, 96))           # (out, in) → two 64-row tiles
+        w = _binary(rng, (24, 128))          # (out, in) → two 64-row tiles
         layer = CimLinear(w, None, None,
                           CimConfig(max_rows=64, max_cols=64, seed=0),
                           OpLedger())
-        x = _ternary(rng, (3, 96))
-        layer.use_bitpack = True
+        assert layer._exact_ok               # odd ADC steps: exact route
+        x = _ternary(rng, (3, 128))
+        force_route(True)
         layer.forward(x)                     # warm every packed cache
         for row in layer.crossbars:
             for bar in row:
                 bar.inject_defects(_flipping_defects(seed=1))
         packed_out = layer.forward(x)
-        layer.use_bitpack = False
+        assert len(packed_calls) == 2 * layer.n_crossbars
+        force_route(False)
         float_out = layer.forward(x)
+        assert len(packed_calls) == 2 * layer.n_crossbars
         np.testing.assert_array_equal(packed_out, float_out)
+
+
+# ----------------------------------------------------------------------
+# The route policy picks the packed kernel on its own.
+
+class TestPolicyRoute:
+    def test_policy_packs_small_batches_of_a_wide_tile(self, force_route,
+                                                       packed_calls):
+        """One 512 × 1024 tile: the unpatched policy takes the packed
+        route at batch 2 and the float32 route at batch 16, and the
+        packed batch-2 run matches the float route bit for bit."""
+        rng = np.random.default_rng(12)
+        w = _binary(rng, (1024, 512))        # (out, in): one tile
+        x = _ternary(rng, (16, 512))
+        config = dict(max_rows=512, max_cols=1024, seed=0)
+        layer = CimLinear(w, None, None, CimConfig(**config), OpLedger())
+        assert layer.n_crossbars == 1 and layer._exact_ok
+        layer.ledger.reset()
+        packed_out = layer.forward(x[:2])
+        packed_ledger = layer.ledger.as_dict()
+        assert len(packed_calls) == 1
+        layer.forward(x)
+        assert len(packed_calls) == 1        # batch 16 stayed on float32
+
+        ref = CimLinear(w, None, None, CimConfig(**config), OpLedger())
+        ref.ledger.reset()
+        force_route(False)
+        float_out = ref.forward(x[:2])
+        assert len(packed_calls) == 1
+        np.testing.assert_array_equal(packed_out, float_out)
+        assert packed_ledger == ref.ledger.as_dict()

@@ -74,8 +74,8 @@ class TestCimLinear:
 
     def test_exact_route_is_bit_identical_to_analog(self):
         # An ideal chain with odd ADC steps takes the exact-integer
-        # float32 route; forcing exact_route=False must reproduce the
-        # same outputs AND the same ledger totals bit-for-bit.
+        # float32 route; forcing the analog chain (``_exact_ok`` off)
+        # must reproduce the same outputs AND ledger totals bit-for-bit.
         w = _binary((10, 300))   # 3 row tiles at max_rows=128
         la, lb = OpLedger(), OpLedger()
         fast = CimLinear(w, np.full(10, 0.5), np.arange(10.0),
@@ -83,7 +83,7 @@ class TestCimLinear:
         slow = CimLinear(w, np.full(10, 0.5), np.arange(10.0),
                          _ideal_config(max_rows=128), lb)
         assert fast._exact_ok
-        slow.exact_route = False
+        slow._exact_ok = False
         x = _binary((6, 300))
         np.testing.assert_array_equal(fast.forward(x), slow.forward(x))
         assert la.as_dict() == lb.as_dict()
@@ -92,7 +92,8 @@ class TestCimLinear:
         w = _binary((8, 32))
         fast = CimLinear(w, None, None, _ideal_config(), OpLedger())
         slow = CimLinear(w, None, None, _ideal_config(), OpLedger())
-        slow.exact_route = False
+        assert fast._exact_ok
+        slow._exact_ok = False
         mask = np.ones(32)
         mask[::3] = 0.0
         fast.input_mask = mask

@@ -15,6 +15,7 @@ from repro.energy import (
 )
 from repro.experiments.ablations import (
     adc_resolution_sweep,
+    defect_robustness,
     temperature_sweep,
     wire_resistance_sweep,
 )
@@ -150,3 +151,10 @@ class TestNonIdealitySweeps:
         accs = wire_resistance_sweep(fast=True, seed=0,
                                      resistances=(0.0, 20.0))
         assert accs[20.0] <= accs[0.0] + 0.05
+
+    def test_defect_robustness_is_reproducible(self):
+        # Every deployment's dropout banks are seeded, so the same seed
+        # gives the same accuracy points.
+        first = defect_robustness(fast=True, seed=0)
+        second = defect_robustness(fast=True, seed=0)
+        assert first == second

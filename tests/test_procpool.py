@@ -346,12 +346,15 @@ print(json.dumps({
 class TestFreshInterpreterBoot:
     def test_subprocess_serves_bit_identical(self, tmp_path):
         """A cold interpreter rehydrates a snapshot whose crossbars
-        carry prepacked bitplanes (use_bitpack=True at compile) and
+        carry prepacked bitplanes (packed before capture) and
         continues the captured streams exactly: same samples, same
         ledger totals as the capturing process."""
         model = make_spindrop_mlp(12, (8,), 3, p=0.3, seed=2)
-        engine = BayesianCim(model, CimConfig(seed=4, use_bitpack=True),
-                             seed=9)
+        engine = BayesianCim(model, CimConfig(seed=4), seed=9)
+        for stage in engine.network.mvm_layers():
+            for row in stage.crossbars:
+                for bar in row:
+                    bar.packed_weights_t()
         path = str(tmp_path / "snap")
         DeploymentSnapshot.capture(engine).save(path)
 

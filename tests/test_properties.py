@@ -12,12 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.bayesian import (
     BayesianCim,
-    SegmenterEngine,
-    SpinBayesNetwork,
-    make_bayesian_segmenter,
     make_spatial_spindrop_cnn,
     make_spindrop_mlp,
-    make_subset_vi_mlp,
 )
 from repro.cim import CimConfig, OpLedger, PopcountADC, XnorCrossbar
 from repro.cim.snapshot import DeploymentSnapshot
@@ -209,68 +205,65 @@ class TestPackedKernelProperties:
 
 X_FLAT = np.random.default_rng(42).standard_normal((6, 20))
 X_IMG = np.random.default_rng(43).standard_normal((3, 1, 12, 12))
-X_SEG = np.random.default_rng(44).standard_normal((2, 1, 16, 16))
 
 
-def _bitpack_engine(family, use_bitpack):
-    """One deployed engine per family with the packed route toggled.
-
-    Model construction and deployment are seeded identically for both
-    toggle values, so any output difference is the kernel's."""
+def _bitpack_engine(family):
+    """One deployed engine per family, seeded identically on every
+    call, so any output difference between two builds is the route's."""
     if family == "spindrop":
         model = make_spindrop_mlp(20, (16,), 4, p=0.3, seed=1)
-        return (BayesianCim(model, CimConfig(seed=6,
-                                             use_bitpack=use_bitpack),
-                            seed=33), X_FLAT)
+        return BayesianCim(model, CimConfig(seed=6), seed=33), X_FLAT
     if family == "cim_conv":
         model = make_spatial_spindrop_cnn(1, 12, 4, widths=(4, 8), seed=2)
-        return (BayesianCim(model, CimConfig(seed=6,
-                                             use_bitpack=use_bitpack),
-                            seed=33), X_IMG)
-    if family == "spinbayes":
-        teacher = make_subset_vi_mlp(20, (12,), 4, seed=5)
-        return (SpinBayesNetwork.from_subset_vi(
-            teacher, n_components=4, n_levels=8,
-            config=CimConfig(seed=6, use_bitpack=use_bitpack),
-            seed=7), X_FLAT)
-    if family == "segmenter":
-        model = make_bayesian_segmenter(seed=9)
-        return (SegmenterEngine(model, use_bitpack=use_bitpack), X_SEG)
+        return BayesianCim(model, CimConfig(seed=6), seed=33), X_IMG
     raise ValueError(family)
 
 
-BITPACK_FAMILIES = ("spindrop", "cim_conv", "spinbayes", "segmenter")
+def _run_forced(force_route, family, packed, n_samples):
+    """Build a fresh engine and serve one call on a pinned route."""
+    force_route(packed)
+    engine, x = _bitpack_engine(family)
+    return engine, engine.mc_forward_batched(x, n_samples=n_samples)
+
+
+BITPACK_FAMILIES = ("spindrop", "cim_conv")
 
 
 class TestBitpackDifferential:
     @pytest.mark.parametrize("family", BITPACK_FAMILIES)
-    def test_packed_route_is_bit_identical(self, family):
-        on, x = _bitpack_engine(family, True)
-        off, _ = _bitpack_engine(family, False)
-        a = on.mc_forward_batched(x, n_samples=4)
-        b = off.mc_forward_batched(x, n_samples=4)
+    def test_packed_route_is_bit_identical(self, family, force_route,
+                                           packed_calls):
+        on, a = _run_forced(force_route, family, True, 4)
+        assert packed_calls                # the packed route really ran
+        n_packed = len(packed_calls)
+        off, b = _run_forced(force_route, family, False, 4)
+        assert len(packed_calls) == n_packed
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.probs, b.probs)
-        ledger_on = getattr(on, "ledger", None)
-        if ledger_on is not None:
-            assert ledger_on.as_dict() == off.ledger.as_dict()
+        assert on.ledger.as_dict() == off.ledger.as_dict()
 
-    def test_packed_route_forced_lut_backend(self):
+    def test_packed_route_forced_lut_backend(self, force_route,
+                                             packed_calls):
         """The whole-engine differential also holds on the LUT
         fallback — the NumPy-floor CI leg's code path."""
         with bitpack.force_popcount_backend("lut16"):
-            on, x = _bitpack_engine("spindrop", True)
-            a = on.mc_forward_batched(x, n_samples=3)
-        off, _ = _bitpack_engine("spindrop", False)
-        b = off.mc_forward_batched(x, n_samples=3)
+            on, a = _run_forced(force_route, "spindrop", True, 3)
+        assert packed_calls
+        off, b = _run_forced(force_route, "spindrop", False, 3)
         np.testing.assert_array_equal(a.samples, b.samples)
         assert on.ledger.as_dict() == off.ledger.as_dict()
 
-    def test_snapshot_roundtrip_restores_packed_planes(self, tmp_path):
+    def test_snapshot_roundtrip_restores_packed_planes(self, tmp_path,
+                                                       force_route,
+                                                       packed_calls):
         """save → load → serve with the packed route: the restored
         crossbars carry the captured uint64 planes (no re-pack) and
         the prediction stream continues bit-exactly."""
-        original, x = _bitpack_engine("spindrop", True)
+        original, x = _bitpack_engine("spindrop")
+        for stage in original.network.mvm_layers():
+            for row in stage.crossbars:
+                for bar in row:
+                    bar.packed_weights_t()    # materialize → captured
         path = str(tmp_path / "snap")
         DeploymentSnapshot.capture(original).save(path)
         restored = DeploymentSnapshot.load(path).build()
@@ -278,8 +271,10 @@ class TestBitpackDifferential:
             for row in stage.crossbars:
                 for bar in row:
                     assert bar._w_packed_t is not None
+        force_route(True)
         a = original.mc_forward_batched(x, n_samples=4)
         b = restored.mc_forward_batched(x, n_samples=4)
+        assert packed_calls
         np.testing.assert_array_equal(a.samples, b.samples)
         np.testing.assert_array_equal(a.probs, b.probs)
         assert original.ledger.as_dict() == restored.ledger.as_dict()

@@ -9,6 +9,7 @@ scheduler fleet must serve several registered models concurrently with
 per-model load metrics and LRU eviction that survives reload.
 """
 
+import copy
 import json
 import os
 import subprocess
@@ -22,6 +23,7 @@ from repro.bayesian import (
     BayesianCim,
     SpinBayesNetwork,
     make_scaledrop_mlp,
+    make_spatial_spindrop_cnn,
     make_spindrop_mlp,
     make_subset_vi_mlp,
 )
@@ -89,6 +91,33 @@ class TestSnapshotRoundTrip:
     def test_capture_rejects_unknown_engine(self):
         with pytest.raises(TypeError, match="cannot snapshot"):
             DeploymentSnapshot.capture(object())
+
+    @pytest.mark.parametrize("family", ("mlp", "cnn"))
+    def test_legacy_route_meta_is_ignored(self, family, tmp_path):
+        # Older snapshots carry per-stage ``exact_route``/``use_bitpack``
+        # route overrides.  They load, and the layers route by policy.
+        if family == "mlp":
+            engine, x = _engine("spindrop"), X
+        else:
+            model = make_spatial_spindrop_cnn(1, 12, 4, widths=(4, 8),
+                                              seed=2)
+            engine = BayesianCim(model, CimConfig(seed=6), seed=33)
+            x = np.random.default_rng(43).standard_normal((3, 1, 12, 12))
+        snap = DeploymentSnapshot.capture(engine)
+        legacy = copy.deepcopy(snap.manifest)
+        cim_stages = [meta for meta in legacy["stages"]
+                      if meta["type"] in ("cim_linear", "cim_conv2d")]
+        assert cim_stages
+        for meta in cim_stages:
+            meta.update({"exact_route": False, "use_bitpack": True})
+        path = str(tmp_path / "legacy")
+        DeploymentSnapshot(legacy, snap.arrays).save(path)
+        old = DeploymentSnapshot.load(path).build()
+        new = snap.build()
+        a = old.mc_forward_batched(x, n_samples=4)
+        b = new.mc_forward_batched(x, n_samples=4)
+        np.testing.assert_array_equal(a.samples, b.samples)
+        assert old.ledger.as_dict() == new.ledger.as_dict()
 
     def test_fresh_interpreter_round_trip(self, tmp_path):
         # The real deployment story: save here, rebuild in a brand-new
