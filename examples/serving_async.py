@@ -6,7 +6,7 @@ serving stack on a small SpinDrop classifier: coroutine clients
 arrive in a Poisson burst, the :class:`AsyncBatchScheduler` coalesces
 them into batched Monte-Carlo flushes on a worker thread, a
 :class:`LoadMetrics` collector watches queue depth / latency /
-utilization, and an :class:`Autoscaler` grows the sharded replica set
+utilization, and an :class:`Autoscaler` grows the scheduler's replica set
 when the burst saturates the fabric — then shrinks it again as the
 traffic drains.
 
@@ -23,8 +23,8 @@ from repro.cim import CimConfig
 from repro.serving import (
     AsyncBatchScheduler,
     Autoscaler,
+    BatchScheduler,
     LoadMetrics,
-    ShardedScheduler,
 )
 
 IN_FEATURES = 64
@@ -49,17 +49,17 @@ async def client(frontend, rng, arrival_s, start):
 
 async def main() -> None:
     rng = np.random.default_rng(7)
-    sharded = ShardedScheduler([make_engine(seed=3)], n_samples=32,
+    scheduler = BatchScheduler([make_engine(seed=3)], n_samples=32,
                                max_batch=24)
     metrics = LoadMetrics(ewma_alpha=0.4, throughput_window_s=0.2)
     autoscaler = Autoscaler(
-        sharded, make_engine, metrics=metrics,
+        scheduler, make_engine, metrics=metrics,
         min_replicas=1, max_replicas=3,
         scale_up_utilization=0.3, scale_down_utilization=0.1,
         scale_up_queue_rows=24, down_patience=4, warm_spares=1)
 
     async with AsyncBatchScheduler(
-            sharded, flush_interval=0.003,
+            scheduler, flush_interval=0.003,
             autoscaler=autoscaler) as frontend:
         print("Poisson burst: 120 clients, ~0.3 ms mean gap")
         arrivals = np.cumsum(rng.exponential(0.0003, 120))
@@ -79,7 +79,7 @@ async def main() -> None:
               f"{snap.p95_latency_s * 1e3:.1f} ms")
         print(f"  utilization (EWMA): {snap.utilization:.2f}  "
               f"max queue depth: {snap.max_queue_depth} rows")
-        print(f"  replicas: {sharded.n_replicas} "
+        print(f"  replicas: {scheduler.n_replicas} "
               f"(scale-ups: {autoscaler.scale_ups})  "
               f"per-replica rows: {snap.replica_rows}")
         print(f"  mean epistemic uncertainty (BALD): "
@@ -90,7 +90,7 @@ async def main() -> None:
         for _ in range(10):
             await asyncio.sleep(0.06)
             autoscaler.step()
-        print(f"  replicas after drain: {sharded.n_replicas} "
+        print(f"  replicas after drain: {scheduler.n_replicas} "
               f"(scale-downs: {autoscaler.scale_downs}, "
               f"warm spares: {autoscaler.spare_count})")
 

@@ -32,7 +32,7 @@ including op-ledger totals — and fail below ``--bitpack-min-speedup``
 (default 4×).
 
 A serving-level gate replays the same Poisson arrival workload
-through the threaded ``ShardedScheduler`` (thread-per-client
+through a threaded ``BatchScheduler`` replica set (thread-per-client
 submitters polling their tickets) and through the asyncio
 ``AsyncBatchScheduler`` with an ``Autoscaler`` on top, and fails if
 the async front-end's throughput regresses below
@@ -121,7 +121,6 @@ from repro.serving import (  # noqa: E402
     BatchScheduler,
     ControlPlane,
     LoadMetrics,
-    ShardedScheduler,
     SloPolicy,
 )
 from repro.serving.faults import SlowEngine  # noqa: E402
@@ -181,7 +180,7 @@ BITPACK_LINEAR_SHAPE = (2, 4096, 2048)    # batch, in, out
 # no verified artifact read can beat.
 LIFECYCLE_WIDTHS = (128, 256)
 # Serving front-end gate: a fixed Poisson arrival trace replayed once
-# through the threaded sharded scheduler and once through the async
+# through a threaded replica set and once through the async
 # front-end (same requests, same engine work).
 SERVING_REQUESTS = 160
 SERVING_MEAN_GAP_S = 0.0004     # Poisson arrivals, ~0.4 ms mean gap
@@ -604,7 +603,7 @@ def _warm(engine) -> None:
 
 
 def _run_threaded_serving(arrivals, xs) -> float:
-    """Thread-per-client replay over the threaded ShardedScheduler.
+    """Thread-per-client replay over a threaded BatchScheduler fleet.
 
     Each client sleeps until its arrival offset, submits, and polls
     its ticket (``result()`` would force a flush and defeat the
@@ -615,9 +614,9 @@ def _run_threaded_serving(arrivals, xs) -> float:
     for engine in engines:
         _warm(engine)
     errors = []
-    with ShardedScheduler(engines, n_samples=SERVING_SAMPLES,
-                          max_batch=SERVING_MAX_BATCH,
-                          flush_interval=SERVING_FLUSH_INTERVAL) as sched:
+    with BatchScheduler(engines, n_samples=SERVING_SAMPLES,
+                        max_batch=SERVING_MAX_BATCH,
+                        flush_interval=SERVING_FLUSH_INTERVAL) as sched:
         start = time.perf_counter()
 
         def client(i):
@@ -654,8 +653,8 @@ def _run_async_serving(arrivals, xs):
         _warm(engine)
 
     async def go():
-        sharded = ShardedScheduler(engines, n_samples=SERVING_SAMPLES,
-                                   max_batch=SERVING_MAX_BATCH)
+        sharded = BatchScheduler(engines, n_samples=SERVING_SAMPLES,
+                                 max_batch=SERVING_MAX_BATCH)
         try:
             return await run_workload(sharded)
         finally:
@@ -728,8 +727,8 @@ def _gate_procpool(min_speedup):
     """Process-backed replica pool vs threaded sharding, same snapshot.
 
     Serves a mixed-tenant-shaped trace (interleaved request sizes, two
-    request-T classes) through a 4-replica threaded ``ShardedScheduler``
-    and through a 4-worker ``ProcReplicaPool`` under the same sharded
+    request-T classes) through a 4-replica threaded ``BatchScheduler``
+    and through a 4-worker ``ProcReplicaPool`` under the same
     scheduler, after verifying the two transports resolve bit-identical
     samples.  Fails below ``min_speedup``; on hosts with fewer than
     ``PROCPOOL_MIN_CORES`` usable cores it returns a skip entry without
@@ -781,13 +780,13 @@ def _gate_procpool(min_speedup):
                 path, workers=PROCPOOL_WORKERS) as pool:
             # Bit-exactness first: fresh equally-positioned replicas on
             # both transports must resolve identical tickets.
-            check = ShardedScheduler(
+            check = BatchScheduler(
                 [snapshot.build() for _ in range(PROCPOOL_WORKERS)],
                 max_batch=4 * SERVING_MAX_BATCH)
             expected = replay(check)
             check.close()
-            pooled = ShardedScheduler(pool.replicas,
-                                      max_batch=4 * SERVING_MAX_BATCH)
+            pooled = BatchScheduler(pool.replicas,
+                                    max_batch=4 * SERVING_MAX_BATCH)
             actual = replay(pooled)
             for want, got in zip(expected, actual):
                 if not np.array_equal(want, got):
@@ -799,7 +798,7 @@ def _gate_procpool(min_speedup):
             # Timed replays: same scheduler reused across repeats (the
             # engines keep consuming their streams; work per repeat is
             # identical in shape and cost).
-            threaded = ShardedScheduler(
+            threaded = BatchScheduler(
                 [snapshot.build() for _ in range(PROCPOOL_WORKERS)],
                 max_batch=4 * SERVING_MAX_BATCH)
             replay(threaded)                         # warm both paths

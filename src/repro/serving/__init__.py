@@ -3,16 +3,16 @@
 Four front-ends share one coalescing core (see ``docs/serving.md``),
 reachable uniformly through :func:`serve`:
 
-- :class:`BatchScheduler` — synchronous, single engine
-  (``backend="sync"``);
-- :class:`ShardedScheduler` — synchronous, fan-out across engine
-  replicas in threads (``backend="threads"``);
+- :class:`BatchScheduler` — synchronous, over one engine
+  (``backend="sync"``) or fanned out across engine replicas in
+  threads (``backend="threads"``);
 - :class:`ProcReplicaPool` — replicas in worker *processes* with
-  shared-memory row transport, served through a sharded scheduler
-  (``backend="procs"``);
-- :class:`AsyncBatchScheduler` — :mod:`asyncio` coroutines over
-  either, with :class:`LoadMetrics` observability and optional
-  :class:`Autoscaler`-driven replica scaling (``backend="async"``).
+  shared-memory row transport, served through a
+  :class:`BatchScheduler` (``backend="procs"``);
+- :class:`AsyncBatchScheduler` — :mod:`asyncio` coroutines over a
+  :class:`BatchScheduler`, with :class:`LoadMetrics` observability
+  and optional :class:`Autoscaler`-driven replica scaling
+  (``backend="async"``).
 
 The SLO-driven control plane (:class:`ControlPlane`) layers replica
 health quarantine, admission control, and adaptive-T degradation over
@@ -44,7 +44,7 @@ from repro.serving.errors import (
     ResultTimeout,
     WorkerDied,
 )
-from repro.serving.metrics import LoadMetrics, MetricsSnapshot, ModelLatency
+from repro.serving.metrics import LoadMetrics, MetricsSnapshot
 from repro.serving.procpool import ProcReplica, ProcReplicaPool
 from repro.serving.registry import ModelRegistry
 from repro.serving.scheduler import (
@@ -52,7 +52,6 @@ from repro.serving.scheduler import (
     PendingPrediction,
     SchedulerStats,
 )
-from repro.serving.sharded import ShardedScheduler
 
 __all__ = [
     "AdmissionController",
@@ -67,7 +66,6 @@ __all__ = [
     "HealthPolicy",
     "LoadMetrics",
     "MetricsSnapshot",
-    "ModelLatency",
     "ModelRegistry",
     "Overload",
     "PendingPrediction",
@@ -79,7 +77,6 @@ __all__ = [
     "ResultTimeout",
     "SchedulerStats",
     "ServingConfig",
-    "ShardedScheduler",
     "SloPolicy",
     "WorkerDied",
     "serve",

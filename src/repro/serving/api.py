@@ -1,10 +1,11 @@
 """The unified serving API: one config, one factory, one protocol.
 
-The serving stack grew one front-end per PR — ``BatchScheduler``
-(sync), ``ShardedScheduler`` (threads), ``ProcReplicaPool`` (processes),
-``AsyncBatchScheduler`` (asyncio) — and one constructor kwarg per
-feature (``controlplane=``, ``registry=``, ``max_pending_rows=``,
-``flush_interval=``, ...).  This module folds that surface into:
+The serving stack has four front-ends — ``BatchScheduler`` over one
+engine (sync) or over threaded replicas (threads), ``ProcReplicaPool``
+(processes), ``AsyncBatchScheduler`` (asyncio) — and one constructor
+kwarg per feature (``controlplane=``, ``registry=``,
+``max_pending_rows=``, ``flush_interval=``, ...).  This module folds
+that surface into:
 
 * :class:`ServingConfig` — every serving knob in one dataclass;
 * :func:`serve` — ``serve(model_or_snapshot, backend=..., config=...)``
@@ -18,9 +19,9 @@ feature (``controlplane=``, ``registry=``, ``max_pending_rows=``,
   aclose()``, ``async with``).
 
 Every backend drives the same batching core: the ``"sync"``,
-``"threads"`` and ``"procs"`` front-ends are a
-:class:`BatchScheduler`-family scheduler driven by its own blocking
-tickets and timer thread, and ``"async"`` puts the asyncio driver
+``"threads"`` and ``"procs"`` front-ends are a :class:`BatchScheduler`
+over one or more replicas, driven by its own blocking tickets and
+timer thread, and ``"async"`` puts the asyncio driver
 (:class:`AsyncBatchScheduler`) over a :class:`BatchScheduler`.  The
 underlying constructors remain public — ``serve`` is a convenience
 roof, not a wall.  Every knob lives on :class:`ServingConfig`; if a
@@ -43,7 +44,6 @@ from typing import Optional, Protocol, runtime_checkable
 from repro.serving.async_frontend import AsyncBatchScheduler
 from repro.serving.procpool import ProcReplicaPool
 from repro.serving.scheduler import BatchScheduler
-from repro.serving.sharded import ShardedScheduler
 
 __all__ = ["Frontend", "ServingConfig", "serve"]
 
@@ -72,10 +72,8 @@ class ServingConfig:
 
     # -- replication ("threads" and "procs") ---------------------------
     replicas: int = 2
-    parallel: bool = True
 
     # -- process pool ("procs") ----------------------------------------
-    slots: int = 4
     slot_bytes: int = 1 << 20
     start_method: str = "spawn"
 
@@ -83,7 +81,7 @@ class ServingConfig:
     max_pending_rows: Optional[int] = None
 
     def scheduler_kwargs(self) -> dict:
-        """The subset every ``BatchScheduler``-family constructor takes."""
+        """The keyword arguments of the ``BatchScheduler`` constructor."""
         return dict(
             n_samples=self.n_samples, max_batch=self.max_batch,
             chunk_passes=self.chunk_passes,
@@ -120,7 +118,7 @@ class Frontend(Protocol):
 
 
 class _SyncFrontend:
-    """Uniform facade over a (possibly sharded) batch scheduler.
+    """Uniform facade over a batch scheduler.
 
     Owns whatever :func:`serve` built underneath — the scheduler, an
     optional :class:`~repro.serving.procpool.ProcReplicaPool`, and an
@@ -309,7 +307,7 @@ def serve(model_or_snapshot=None, *,
     backend:
         ``"sync"`` — one engine, one :class:`BatchScheduler`;
         ``"threads"`` — ``config.replicas`` in-process replicas under a
-        :class:`ShardedScheduler`;
+        :class:`BatchScheduler` (shards run on its thread pool);
         ``"procs"`` — ``config.replicas`` worker *processes* under a
         :class:`~repro.serving.procpool.ProcReplicaPool` (shared-memory
         row transport; snapshots/engines are persisted to a temporary
@@ -329,40 +327,35 @@ def serve(model_or_snapshot=None, *,
             "registry through backend='sync' or 'async', or pass the "
             "model to replicate explicitly")
 
-    if backend in ("sync", "async"):
-        engine = None if kind == "registry" \
-            else _engine_factory(kind, value)()
-        scheduler = BatchScheduler(engine, **config.scheduler_kwargs())
-        if backend == "sync":
-            return _SyncFrontend("sync", scheduler)
-        # The async driver owns the flush cadence and backpressure;
-        # it shares the scheduler's metrics collector.
-        return _AsyncFrontend(AsyncBatchScheduler(
-            scheduler, flush_interval=config.flush_interval,
-            max_pending_rows=config.max_pending_rows))
-
-    if backend == "threads":
-        factory = _engine_factory(kind, value)
-        engines = [factory() for _ in range(config.replicas)]
-        scheduler = ShardedScheduler(engines, parallel=config.parallel,
-                                     **config.scheduler_kwargs())
-        return _SyncFrontend("threads", scheduler)
-
     if backend == "procs":
         source, tempdir = _proc_sources(kind, value)
         frontend = _SyncFrontend("procs", None, owned_tempdir=tempdir)
         try:
             frontend.pool = ProcReplicaPool(
                 {None: source}, workers=config.replicas,
-                slots=config.slots, slot_bytes=config.slot_bytes,
+                slot_bytes=config.slot_bytes,
                 start_method=config.start_method)
-            frontend.scheduler = ShardedScheduler(
-                frontend.pool.replicas, parallel=config.parallel,
-                **config.scheduler_kwargs())
+            frontend.scheduler = BatchScheduler(
+                frontend.pool.replicas, **config.scheduler_kwargs())
         except BaseException:
             frontend.close()
             raise
         return frontend
+
+    if backend in ("sync", "threads", "async"):
+        engines = None
+        if kind != "registry":
+            factory = _engine_factory(kind, value)
+            n = config.replicas if backend == "threads" else 1
+            engines = [factory() for _ in range(n)]
+        scheduler = BatchScheduler(engines, **config.scheduler_kwargs())
+        if backend != "async":
+            return _SyncFrontend(backend, scheduler)
+        # The async driver owns the flush cadence and backpressure;
+        # it shares the scheduler's metrics collector.
+        return _AsyncFrontend(AsyncBatchScheduler(
+            scheduler, flush_interval=config.flush_interval,
+            max_pending_rows=config.max_pending_rows))
 
     raise ValueError(
         f"unknown backend {backend!r}: expected 'sync', 'threads', "

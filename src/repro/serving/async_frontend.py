@@ -2,7 +2,7 @@
 
 :class:`AsyncBatchScheduler` is a thin :mod:`asyncio` driver over the
 one batching core, a :class:`~repro.serving.scheduler.BatchScheduler`
-or :class:`~repro.serving.sharded.ShardedScheduler`.  Requests go
+over one engine or a replica set.  Requests go
 into the core's queue, flushes run the core's flush body, and
 cancellations go through the core's withdraw path; what this module
 adds is the event-loop side:
@@ -27,7 +27,7 @@ adds is the event-loop side:
   one :class:`~repro.serving.metrics.LoadMetrics` collector shared
   with this front-end, and an optional
   :class:`~repro.serving.autoscale.Autoscaler` is stepped after each
-  flush, growing/shrinking a sharded core's replica set under load.
+  flush, growing/shrinking the core's replica set under load.
 
 The core's own flush triggers (``max_batch`` in its ``submit`` and its
 deadline timer thread) belong to the synchronous driver: a queue
@@ -126,9 +126,8 @@ class AsyncBatchScheduler:
     ----------
     scheduler:
         The batching core: a :class:`~repro.serving.scheduler.
-        BatchScheduler` or :class:`~repro.serving.sharded.
-        ShardedScheduler` (the latter adds replica fan-out and is
-        what the autoscaler controls).  Its ``max_batch``,
+        BatchScheduler`, whose replica set the autoscaler controls.
+        Its ``max_batch``,
         ``feature_shape``, admission and per-request ``n_samples``
         semantics apply unchanged.
     flush_interval:

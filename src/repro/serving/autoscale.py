@@ -1,9 +1,9 @@
-"""Replica autoscaling policy for the sharded scheduler.
+"""Replica autoscaling policy for the batch scheduler.
 
 :class:`Autoscaler` closes the serving control loop: it reads
 :class:`~repro.serving.metrics.MetricsSnapshot` signals (EWMA
 utilization and pending-queue depth) and grows or shrinks a
-:class:`~repro.serving.sharded.ShardedScheduler`'s replica set
+:class:`~repro.serving.scheduler.BatchScheduler`'s replica set
 between ``min_replicas`` and ``max_replicas``.
 
 Design points:
@@ -50,12 +50,12 @@ from repro.serving.metrics import LoadMetrics, MetricsSnapshot
 
 
 class Autoscaler:
-    """Grow/shrink a sharded scheduler's replica set from load metrics.
+    """Grow/shrink a scheduler's replica set from load metrics.
 
     Parameters
     ----------
     scheduler:
-        The :class:`~repro.serving.sharded.ShardedScheduler` whose
+        The :class:`~repro.serving.scheduler.BatchScheduler` whose
         replica set this policy controls (anything exposing
         ``n_replicas`` / ``add_replica`` / ``remove_replica``).
     engine_factory:

@@ -5,11 +5,12 @@ fleet *fast*; this module makes it *predictable when things break*.
 A :class:`ControlPlane` attached to a scheduler closes three loops:
 
 **Replica health** (:class:`HealthPolicy` / :class:`ReplicaHealth`).
-Every shard call of a :class:`~repro.serving.sharded.ShardedScheduler`
-reports its outcome per replica.  ``quarantine_after`` *consecutive*
-failures quarantine a replica: it stops receiving shards, while an
-attached :class:`~repro.serving.autoscale.Autoscaler` promotes a warm
-spare to replace the lost capacity.  After an exponentially backed-off
+Every shard call of a :class:`~repro.serving.scheduler.BatchScheduler`
+on its replica set reports its outcome per replica.
+``quarantine_after`` *consecutive* failures quarantine a replica: it
+stops receiving shards, while an attached
+:class:`~repro.serving.autoscale.Autoscaler` promotes a warm spare to
+replace the lost capacity.  After an exponentially backed-off
 probe delay the replica re-enters on *probation* — it serves traffic
 again, a failure re-quarantines it with doubled backoff, and
 ``probation_successes`` clean flushes re-admit it as healthy.  If
@@ -299,10 +300,10 @@ class ControlPlane:
     """Ties health, admission, and adaptive-T to one scheduler.
 
     Construct it, then pass it to a scheduler
-    (``BatchScheduler(engine, controlplane=cp)``); the scheduler binds
+    (``BatchScheduler(engines, controlplane=cp)``); the scheduler binds
     itself and consults the plane on every submit (admission), every
-    flush group (adaptive-T), and — for sharded schedulers — every
-    shard call (health).  All hooks are cheap and lock-local, so they
+    flush group (adaptive-T), and every shard call on its replica set
+    (health).  All hooks are cheap and lock-local, so they
     can be called from shard worker threads without touching the
     scheduler lock (no lock-order inversion with an in-flight flush).
 
@@ -310,8 +311,7 @@ class ControlPlane:
     ----------
     health:
         Quarantine policy; ``None`` keeps health tracking with default
-        knobs (tracking is passive until a sharded scheduler reports
-        outcomes).
+        knobs.
     admission:
         :class:`AdmissionPolicy` (wrapped in a fresh controller) or a
         ready :class:`AdmissionController`; ``None`` disables
@@ -360,12 +360,6 @@ class ControlPlane:
         """The p95 flush latency driving admission and adaptive-T."""
         return self.metrics.p95_latency_s()
 
-    # ----------------------------------------------------- submit path
-    def admit(self, rows: int, pending_rows: int) -> None:
-        """Admission hook (raises :class:`AdmissionRejected`)."""
-        if self.admission is not None:
-            self.admission.admit(rows, pending_rows, self.observed_p95)
-
     # ------------------------------------------------------ flush path
     def served_t(self, requested_t: int) -> int:
         """Adaptive-T hook: passes to serve for a group's requested T."""
@@ -375,6 +369,8 @@ class ControlPlane:
 
     # ----------------------------------------------------- health path
     def _record(self, engine) -> ReplicaHealth:
+        """The engine's health record, created (and named in order of
+        first sight) when missing; plane lock held."""
         key = id(engine)
         record = self._health.get(key)
         if record is None:
@@ -391,8 +387,8 @@ class ControlPlane:
                        error: Optional[BaseException] = None) -> None:
         """One shard call's outcome for one replica.
 
-        Called by the sharded scheduler from its shard workers; only
-        the control-plane lock is taken, never the scheduler's.
+        Called by the scheduler from its shard workers; only the
+        control-plane lock is taken, never the scheduler's.
         """
         policy = self.health_policy
         with self._lock:
@@ -434,6 +430,9 @@ class ControlPlane:
     def eligible_engines(self, engines: List[object]) -> List[object]:
         """Filter a flush's replica snapshot through health state.
 
+        Replicas seen for the first time get their health record here,
+        in replica-list order, so ``replica-{n}`` names follow the list
+        rather than the order in which parallel shards complete.
         Quarantined replicas whose backoff has elapsed are promoted to
         probation here (this flush *is* their probe).  If every
         replica is quarantined the full set is returned — a degraded
@@ -443,11 +442,10 @@ class ControlPlane:
         eligible: List[object] = []
         with self._lock:
             for engine in engines:
-                record = self._health.get(id(engine))
-                if record is None or record.state != QUARANTINED:
+                record = self._record(engine)
+                if record.state != QUARANTINED:
                     eligible.append(engine)
-                elif record.quarantined_at is not None \
-                        and now - record.quarantined_at >= record.backoff_s:
+                elif now - record.quarantined_at >= record.backoff_s:
                     record.state = PROBATION
                     record.probation_streak = 0
                     record.probes += 1
@@ -490,7 +488,7 @@ class ControlPlane:
                     if r.state == QUARANTINED]
 
     def remove_quarantined(self) -> List[object]:
-        """Drop quarantined replicas from the bound sharded scheduler.
+        """Drop quarantined replicas from the bound scheduler.
 
         Operational escape hatch: quarantined replicas normally stay
         in the set (unscheduled) awaiting probation; this removes them

@@ -6,7 +6,6 @@ failures (:class:`AdmissionRejected` lived in ``controlplane``,
 :class:`ResultTimeout` in ``scheduler``); clients handling both had to
 import from two modules and switch on a string ``reason``.  Every
 front-end — :class:`~repro.serving.scheduler.BatchScheduler`,
-:class:`~repro.serving.sharded.ShardedScheduler`,
 :class:`~repro.serving.async_frontend.AsyncBatchScheduler`, the
 process pool, and the unified :func:`repro.serving.api.serve`
 factory — now raises the types defined here.  ``controlplane`` still
@@ -30,10 +29,10 @@ front-end:
    PendingPrediction` / :class:`~repro.serving.async_frontend.
    AsyncPrediction`) is returned immediately.
 3. **Flushed** — at ``max_batch`` rows, at the deadline, or on an
-   explicit ``flush()``, the queue is detached and runs as one engine
-   call per (model, T) group.  An engine failure fails only that
-   group's tickets, which re-raise the original exception on
-   resolution.
+   explicit ``flush()``, the queue is detached and each (model, T)
+   group runs as one engine call per replica it is split across.  An
+   engine failure fails only that call's tickets, which re-raise the
+   original exception on resolution.
 4. **Resolved / withdrawn** — the flush resolves the request's future
    and ``result()`` hands back its own
    :class:`~repro.bayesian.base.PredictiveResult`; calling it again
@@ -100,7 +99,7 @@ class WorkerDied(RuntimeError):
 
     Raised by :class:`~repro.serving.procpool.ProcReplica` calls after
     the worker process died mid-request or between requests.  Under a
-    sharded scheduler this fails only the dead replica's own shard
+    scheduler this fails only the dead replica's own shard
     (sibling tickets resolve normally) and, with a control plane
     attached, flows through the ordinary failure path: the replica is
     quarantined and a warm spare promoted in its place.

@@ -2,9 +2,9 @@
 
 :class:`LoadMetrics` is the observability half of the autoscaling
 loop: the serving front-ends feed it one record per engine flush
-(rows, coalesced request count, wall latency, and — for sharded
-schedulers — per-replica row loads) plus queue-depth observations on
-every submit; :meth:`LoadMetrics.snapshot` condenses them into the
+(rows, coalesced request count, wall latency, and per-replica row
+loads) plus queue-depth observations on every submit;
+:meth:`LoadMetrics.snapshot` condenses them into the
 :class:`MetricsSnapshot` the :class:`~repro.serving.autoscale.
 Autoscaler` policies read.
 
@@ -31,23 +31,7 @@ import dataclasses
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-
-@dataclasses.dataclass(frozen=True)
-class ModelLatency:
-    """Per-model latency/volume condensation (multi-tenant read-out).
-
-    One serving fleet hosting several registered models used to pool
-    every tenant's flush latencies into one p95; these windows keep
-    them separable — a slow segmenter cannot hide behind a fast MLP.
-    """
-
-    flushes: int = 0
-    requests: int = 0
-    rows: int = 0
-    p50_latency_s: float = 0.0
-    p95_latency_s: float = 0.0
+from typing import Callable, List, Optional, Sequence, Tuple
 
 
 @dataclasses.dataclass(frozen=True)
@@ -57,9 +41,8 @@ class MetricsSnapshot:
     ``utilization`` and ``queue_depth`` (pending rows at the last
     observation) are the autoscaler's primary signals; the latency
     percentiles and ``rows_per_s`` are the SLO-facing read-outs.
-    ``per_model`` splits the latency windows by the ``model_id`` each
-    flush was recorded under (requests that named no model are pooled
-    into the top-level percentiles only).
+    Per-model read-outs of a multi-tenant fleet live in the registry
+    (:meth:`~repro.serving.registry.ModelRegistry.metrics`).
     """
 
     flushes: int = 0
@@ -74,8 +57,6 @@ class MetricsSnapshot:
     rows_per_s: float = 0.0
     utilization: float = 0.0      # EWMA busy fraction in [0, 1]
     replica_rows: Tuple[int, ...] = ()   # cumulative rows per replica
-    per_model: Mapping[str, ModelLatency] = dataclasses.field(
-        default_factory=dict, compare=False)
 
     def per_replica_queue(self, n_replicas: int) -> float:
         """Pending rows per replica (the scale-up watermark input)."""
@@ -136,8 +117,6 @@ class LoadMetrics:
         self._utilization = 0.0
         self._last_flush_end: Optional[float] = None
         self._replica_rows: List[int] = []
-        # model_id -> [latency deque, flushes, requests, rows]
-        self._per_model: Dict[str, list] = {}
 
     # ------------------------------------------------------------------
     def observe_queue_depth(self, rows: int) -> None:
@@ -147,16 +126,12 @@ class LoadMetrics:
             self._max_queue_depth = max(self._max_queue_depth, rows)
 
     def record_flush(self, rows: int, n_requests: int, latency_s: float,
-                     replica_loads: Optional[Sequence[int]] = None,
-                     model_id: Optional[str] = None) -> None:
+                     replica_loads: Optional[Sequence[int]] = None) -> None:
         """Record one completed engine flush.
 
-        ``replica_loads`` is the per-replica row split of this flush
-        (a sharded scheduler's ``last_shard_loads``); cumulative
-        per-replica totals appear in the snapshot's ``replica_rows``.
-        ``model_id`` additionally files the flush under that model's
-        own latency window (the multi-tenant ``per_model`` read-out);
-        the top-level percentiles always include it.
+        ``replica_loads`` is the per-replica row split of this flush;
+        cumulative per-replica totals appear in the snapshot's
+        ``replica_rows``.
         """
         now = self._clock()
         with self._lock:
@@ -189,15 +164,6 @@ class LoadMetrics:
                     self._replica_rows.append(0)
                 for i, load in enumerate(replica_loads):
                     self._replica_rows[i] += int(load)
-            if model_id is not None:
-                entry = self._per_model.get(model_id)
-                if entry is None:
-                    entry = [deque(maxlen=self.window), 0, 0, 0]
-                    self._per_model[model_id] = entry
-                entry[0].append(max(latency_s, 0.0))
-                entry[1] += 1
-                entry[2] += n_requests
-                entry[3] += rows
 
     def _trim_completions_locked(self, now: float) -> None:
         horizon = now - self.throughput_window_s
@@ -233,12 +199,6 @@ class LoadMetrics:
                 idle = now - self._last_flush_end
                 if idle > self.throughput_window_s:
                     utilization = 0.0
-            per_model = {
-                model_id: ModelLatency(
-                    flushes=entry[1], requests=entry[2], rows=entry[3],
-                    p50_latency_s=_percentile(sorted(entry[0]), 0.50),
-                    p95_latency_s=_percentile(sorted(entry[0]), 0.95))
-                for model_id, entry in self._per_model.items()}
             return MetricsSnapshot(
                 flushes=self._flushes,
                 requests=self._requests,
@@ -252,5 +212,4 @@ class LoadMetrics:
                 rows_per_s=window_rows / self.throughput_window_s,
                 utilization=utilization,
                 replica_rows=tuple(self._replica_rows),
-                per_model=per_model,
             )

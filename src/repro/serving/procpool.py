@@ -1,8 +1,8 @@
 """Process-backed replica pool with shared-memory row transport.
 
 Every engine in this reproduction is pure NumPy, so the threaded
-:class:`~repro.serving.sharded.ShardedScheduler` replicas contend on
-one GIL and aggregate throughput flattens near a single core.  This
+replicas of a :class:`~repro.serving.scheduler.BatchScheduler` contend
+on one GIL and aggregate throughput flattens near a single core.  This
 module moves each replica into its own worker *process*:
 
 * **Workers boot from artifacts, not pickles of live engines.**  A
@@ -14,16 +14,18 @@ module moves each replica into its own worker *process*:
   identical prediction streams, which is what makes the pool
   bit-identical to threaded sharding (see *Equivalence* below).
 * **Rows travel through shared memory, not the pipe.**  Each worker
-  owns a paired set of fixed-slot ``multiprocessing.shared_memory``
-  ring buffers: request rows are written zero-copy into a request
-  slot, result sample tensors come back in the paired result slot,
-  and only a small header (command, slot index, shape, dtype, model
-  id, T, chunk size) crosses the duplex ``Pipe``.  Payloads larger
-  than a slot transparently fall back to pickle-over-pipe and are
-  counted in ``pool.stats["pipe_fallbacks"]``.
+  owns one ``multiprocessing.shared_memory`` block per direction:
+  request rows are written zero-copy into the request block, result
+  sample tensors come back in the result block, and only a small
+  header (command, shape, dtype, model id, T, chunk size) crosses the
+  duplex ``Pipe``.  One block per direction is enough because a
+  worker never has two requests in flight: its lock is held from the
+  write until the result is copied out.  Payloads larger than a block
+  transparently fall back to pickle-over-pipe and are counted in
+  ``pool.stats["pipe_fallbacks"]``.
 * **The proxies speak the existing replica interface.**  A
   :class:`ProcReplica` implements ``mc_forward_batched`` (plus a
-  ``ledger`` view), so ``ShardedScheduler(pool.replicas, ...)``,
+  ``ledger`` view), so ``BatchScheduler(pool.replicas, ...)``,
   :class:`~repro.serving.autoscale.Autoscaler` (with
   ``pool.spawn_replica`` as the engine factory), and
   :class:`~repro.serving.controlplane.ControlPlane` quarantine all
@@ -31,7 +33,7 @@ module moves each replica into its own worker *process*:
 
 Equivalence
 -----------
-``ShardedScheduler`` partitions a coalesced batch greedily and
+``BatchScheduler`` partitions a coalesced batch greedily and
 deterministically in arrival order, then slices every request's rows
 back out with ``PredictiveResult.from_samples``.  A :class:`ProcReplica`
 transports the *raw sample tensor* and rebuilds the result the same
@@ -43,7 +45,7 @@ Failure model
 -------------
 A dead worker (crash, kill, OOM) surfaces as
 :class:`~repro.serving.errors.WorkerDied` on the next call of any
-proxy bound to it; under a sharded scheduler that fails only the dead
+proxy bound to it; under a scheduler that fails only the dead
 replica's own shard tickets, and with a control plane attached the
 replica is quarantined and a warm spare promoted — sibling tickets
 never wedge, because worker death closes the pipe and the waiting
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -97,8 +99,7 @@ def _boot_engine(source: _Source):
 # Worker process
 # ----------------------------------------------------------------------
 def _worker_main(conn, sources: Dict[Optional[str], _Source],
-                 req_name: str, res_name: str,
-                 slots: int, slot_bytes: int) -> None:
+                 req_name: str, res_name: str, slot_bytes: int) -> None:
     """Entry point of one replica worker (runs in a child process)."""
     import traceback
     from multiprocessing import shared_memory
@@ -139,14 +140,13 @@ def _worker_main(conn, sources: Dict[Optional[str], _Source],
                            None if ledger is None else dict(ledger.counts)))
                 continue
             if cmd == "mc":
-                (_, slot, shape, dtype, n_samples, chunk_passes,
+                (_, shape, dtype, n_samples, chunk_passes,
                  model_id, via_shm, payload) = msg
                 try:
                     if via_shm:
                         x = np.frombuffer(
                             req_shm.buf, dtype=np.dtype(dtype),
-                            count=int(np.prod(shape)),
-                            offset=slot * slot_bytes).reshape(shape)
+                            count=int(np.prod(shape))).reshape(shape)
                     else:
                         x = payload
                     result = engines[model_id].mc_forward_batched(
@@ -156,15 +156,14 @@ def _worker_main(conn, sources: Dict[Optional[str], _Source],
                     if samples.nbytes <= slot_bytes:
                         out = np.frombuffer(
                             res_shm.buf, dtype=samples.dtype,
-                            count=samples.size,
-                            offset=slot * slot_bytes).reshape(samples.shape)
+                            count=samples.size).reshape(samples.shape)
                         out[...] = samples
                         del out
-                        conn.send(("ok", slot, samples.shape,
-                                   samples.dtype.str, True, None))
+                        conn.send(("ok", samples.shape, samples.dtype.str,
+                                   True, None))
                     else:
-                        conn.send(("ok", slot, samples.shape,
-                                   samples.dtype.str, False, samples))
+                        conn.send(("ok", samples.shape, samples.dtype.str,
+                                   False, samples))
                 except Exception:
                     conn.send(("err", traceback.format_exc()))
                 continue
@@ -183,30 +182,23 @@ def _worker_main(conn, sources: Dict[Optional[str], _Source],
 # Parent-side worker record + replica proxy
 # ----------------------------------------------------------------------
 class _Worker:
-    """Parent-side handle of one worker process and its slot rings."""
+    """Parent-side handle of one worker process and its shared-memory
+    blocks."""
 
     __slots__ = ("index", "process", "conn", "req_shm", "res_shm",
-                 "slots", "slot_bytes", "lock", "alive", "_slot",
-                 "_proxies")
+                 "lock", "alive", "_proxies")
 
-    def __init__(self, index, process, conn, req_shm, res_shm,
-                 slots, slot_bytes):
+    def __init__(self, index, process, conn, req_shm, res_shm):
         self.index = index
         self.process = process
         self.conn = conn
         self.req_shm = req_shm
         self.res_shm = res_shm
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.lock = threading.Lock()        # serializes this pipe
+        # Serializes this pipe and both blocks: held from the request
+        # write until the result is copied out.
+        self.lock = threading.Lock()
         self.alive = True
-        self._slot = 0
         self._proxies: Dict[Optional[str], "ProcReplica"] = {}
-
-    def next_slot(self) -> int:
-        slot = self._slot
-        self._slot = (self._slot + 1) % self.slots
-        return slot
 
 
 class ProcReplica:
@@ -214,9 +206,9 @@ class ProcReplica:
 
     Implements the replica interface the schedulers already speak —
     ``mc_forward_batched(x, n_samples=..., chunk_passes=...)`` — by
-    shipping the rows through the worker's shared-memory request slot
+    shipping the rows through the worker's shared-memory request block
     and rebuilding a :class:`~repro.bayesian.base.PredictiveResult`
-    from the sample tensor in the paired result slot.  Calls on one
+    from the sample tensor in its result block.  Calls on one
     worker are serialized by the worker's lock; distinct workers run
     genuinely in parallel (separate processes, no GIL sharing).
     """
@@ -237,22 +229,21 @@ class ProcReplica:
             if not worker.alive:
                 raise WorkerDied(
                     f"procpool worker {worker.index} is dead")
-            slot = worker.next_slot()
-            via_shm = x.nbytes <= worker.slot_bytes
+            via_shm = x.nbytes <= self._pool.slot_bytes
             try:
                 if via_shm:
                     dst = np.frombuffer(
-                        worker.req_shm.buf, dtype=x.dtype, count=x.size,
-                        offset=slot * worker.slot_bytes).reshape(x.shape)
+                        worker.req_shm.buf, dtype=x.dtype,
+                        count=x.size).reshape(x.shape)
                     dst[...] = x
                     del dst
                     self._pool.stats["shm_requests"] += 1
-                    worker.conn.send(("mc", slot, x.shape, x.dtype.str,
+                    worker.conn.send(("mc", x.shape, x.dtype.str,
                                       n_samples, chunk_passes,
                                       self.model_id, True, None))
                 else:
                     self._pool.stats["pipe_fallbacks"] += 1
-                    worker.conn.send(("mc", slot, x.shape, x.dtype.str,
+                    worker.conn.send(("mc", x.shape, x.dtype.str,
                                       n_samples, chunk_passes,
                                       self.model_id, False, x))
                 reply = worker.conn.recv()
@@ -266,15 +257,13 @@ class ProcReplica:
                 raise RemoteEngineError(
                     f"engine call failed in procpool worker "
                     f"{worker.index}:\n{reply[1]}")
-            _, rslot, shape, dtype, via, payload = reply
+            _, shape, dtype, via, payload = reply
             if via:
-                # Copy out of the slot before releasing the lock: the
-                # ring reuses this slot on a later call.
+                # Copy out of the block before releasing the lock: the
+                # next call on this worker overwrites it.
                 samples = np.frombuffer(
                     worker.res_shm.buf, dtype=np.dtype(dtype),
-                    count=int(np.prod(shape)),
-                    offset=rslot * worker.slot_bytes
-                ).reshape(shape).copy()
+                    count=int(np.prod(shape))).reshape(shape).copy()
             else:
                 samples = payload
         self._pool.stats["mc_calls"] += 1
@@ -354,33 +343,32 @@ class ProcReplicaPool:
     workers:
         Worker processes to start (each hosts every model in
         ``sources``).
-    slots / slot_bytes:
-        Ring-buffer geometry per direction per worker.  Payloads over
-        ``slot_bytes`` fall back to pickle-over-pipe (counted in
-        ``stats["pipe_fallbacks"]``, never an error).
+    slot_bytes:
+        Size of each worker's request block and of its result block.
+        Payloads over ``slot_bytes`` fall back to pickle-over-pipe
+        (counted in ``stats["pipe_fallbacks"]``, never an error).
     start_method:
         ``multiprocessing`` start method; the default ``"spawn"``
         gives every worker a fresh interpreter, which is exactly the
         cold-boot path the snapshot artifact exists for.
 
-    Use ``pool.replicas`` with a sharded scheduler, and
+    Use ``pool.replicas`` as a scheduler's replica set, and
     ``pool.spawn_replica`` as an autoscaler's engine factory::
 
         pool = ProcReplicaPool.from_snapshot(path, workers=4)
-        scheduler = ShardedScheduler(pool.replicas, n_samples=32)
+        scheduler = BatchScheduler(pool.replicas, n_samples=32)
         scaler = Autoscaler(scheduler, pool.spawn_replica, warm_spares=1)
 
-    The pool owns every worker process and both shared-memory rings;
-    ``close()`` (or the context manager) tears all of it down.
+    The pool owns every worker process and both shared-memory blocks
+    of each; ``close()`` (or the context manager) tears all of it
+    down.
     """
 
-    def __init__(self, sources, *, workers: int = 2, slots: int = 4,
+    def __init__(self, sources, *, workers: int = 2,
                  slot_bytes: int = 1 << 20,
                  start_method: str = "spawn"):
         if workers < 1:
             raise ValueError("workers must be positive")
-        if slots < 1:
-            raise ValueError("slots must be positive")
         if slot_bytes < 1024:
             raise ValueError("slot_bytes must be at least 1 KiB")
         if not isinstance(sources, dict):
@@ -391,7 +379,6 @@ class ProcReplicaPool:
             mid: _normalize_source(src) for mid, src in sources.items()}
         self._default_model = (
             None if None in self._sources else next(iter(self._sources)))
-        self.slots = slots
         self.slot_bytes = slot_bytes
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()
@@ -498,7 +485,7 @@ class ProcReplicaPool:
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
-        """Stop every worker and release both shm rings per worker."""
+        """Stop every worker and release both shm blocks per worker."""
         with self._lock:
             if self._closed:
                 return
@@ -556,9 +543,10 @@ class ProcReplicaPool:
         from multiprocessing import shared_memory
         if self._closed:
             raise RuntimeError("pool is closed")
-        size = self.slots * self.slot_bytes
-        req_shm = shared_memory.SharedMemory(create=True, size=size)
-        res_shm = shared_memory.SharedMemory(create=True, size=size)
+        req_shm = shared_memory.SharedMemory(create=True,
+                                             size=self.slot_bytes)
+        res_shm = shared_memory.SharedMemory(create=True,
+                                             size=self.slot_bytes)
         parent_conn, child_conn = self._ctx.Pipe()
         with self._lock:
             index = self._worker_seq
@@ -566,7 +554,7 @@ class ProcReplicaPool:
         process = self._ctx.Process(
             target=_worker_main,
             args=(child_conn, self._sources, req_shm.name, res_shm.name,
-                  self.slots, self.slot_bytes),
+                  self.slot_bytes),
             daemon=True, name=f"procpool-worker-{index}")
         try:
             process.start()
@@ -594,8 +582,7 @@ class ProcReplicaPool:
                 except FileNotFoundError:
                     pass
             raise
-        worker = _Worker(index, process, parent_conn, req_shm, res_shm,
-                         self.slots, self.slot_bytes)
+        worker = _Worker(index, process, parent_conn, req_shm, res_shm)
         with self._lock:
             self._workers.append(worker)
             self.stats["workers_spawned"] += 1

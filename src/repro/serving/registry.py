@@ -174,7 +174,8 @@ class ModelRegistry:
     def record_flush(self, model_id: str, rows: int, n_requests: int,
                      latency_s: float) -> None:
         """Feed one flush's telemetry into the model's collector
-        (called by the schedulers after every per-model engine call)."""
+        (called by the schedulers after every per-model group that
+        served at least one request)."""
         self.metrics(model_id).record_flush(
             rows=rows, n_requests=n_requests, latency_s=latency_s)
 

@@ -24,6 +24,20 @@ explicit :meth:`BatchScheduler.flush` or ``result()`` call, or — when
 request has waited that many seconds (the latency deadline of a
 lightly-loaded service).
 
+A deployed CIM fabric scales out by replicating the programmed
+crossbars, so the scheduler serves a *replica set*: one engine or a
+list of copies of one programmed fabric.  Each flush group is split
+across the replicas request-granularly — one request's rows never
+straddle two replicas, so all of its rows share every MC pass's mask
+bank / component selection — balanced by row count with a greedy
+assignment in arrival order.  Two or more occupied shards run
+concurrently on a thread pool (numpy releases the GIL inside its BLAS
+kernels).  A replica whose engine call raises fails only its own
+shard's tickets; sibling shards resolve normally.  The replica set is
+dynamic (:meth:`BatchScheduler.add_replica` /
+:meth:`BatchScheduler.remove_replica`) — the lever the
+:class:`~repro.serving.autoscale.Autoscaler` pulls.
+
 :class:`BatchScheduler` is the one batching core under every
 front-end.  Each request is one record in one queue, carrying the
 :class:`concurrent.futures.Future` its flush resolves.  A flush
@@ -36,14 +50,12 @@ thread and tickets) and the asyncio driver
 that queue, flush body and withdraw path, and differ only in what
 triggers a flush.
 
-:class:`~repro.serving.sharded.ShardedScheduler` extends the flush
-step to spread one coalesced batch across multiple engine replicas.
-
 An attached :class:`~repro.serving.controlplane.ControlPlane` makes
 the scheduler SLO-aware: submits pass admission control (bounded
 queue, distinct :class:`~repro.serving.controlplane.AdmissionRejected`
-error), and each flush group's T may be degraded under latency
-pressure (adaptive-T; results carry ``served_samples``/``degraded``).
+error), each flush group's T may be degraded under latency pressure
+(adaptive-T; results carry ``served_samples``/``degraded``), and
+every replica's shard outcomes feed its health record (quarantine).
 """
 
 from __future__ import annotations
@@ -52,6 +64,7 @@ import concurrent.futures
 import dataclasses
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +89,7 @@ class SchedulerStats:
     flushes: int = 0             # engine calls (one per T-group per flush)
     coalesced_rows: int = 0      # rows that shared a flush with another request
     timer_flushes: int = 0       # flushes triggered by a deadline timer
-    shard_calls: int = 0         # per-replica engine calls (sharded scheduler)
+    shard_calls: int = 0         # per-replica engine calls
     timeouts: int = 0            # requests withdrawn: expiry or async cancel
     degraded_flushes: int = 0    # groups served below their requested T
 
@@ -90,7 +103,7 @@ class _Request:
     """One submitted request and the future its flush resolves.
 
     ``model_id`` names a :class:`~repro.serving.registry.ModelRegistry`
-    entry; ``None`` means the scheduler's own default engine.  The
+    entry; ``None`` means the scheduler's own replica set.  The
     future is pending while the request is queued, running once a
     flush has detached it, and done once it is served, failed or
     withdrawn from the queue.
@@ -184,15 +197,19 @@ class BatchScheduler:
 
     Parameters
     ----------
-    engine:
-        Any object exposing ``mc_forward_batched(x, n_samples=...,
-        chunk_passes=...) -> PredictiveResult`` — normally a
-        :class:`~repro.bayesian.BayesianCim`,
-        :class:`~repro.bayesian.SpinBayesNetwork`, or (for per-pixel
-        workloads) a :class:`~repro.bayesian.SegmenterEngine`, whose
-        results carry H·W rows per input image; construct the
-        scheduler with ``feature_shape=(C, H, W)`` and each request
-        gets back exactly its own pixels.
+    engines:
+        One engine, or a list of engine replicas (copies of one
+        programmed fabric); a single engine is a one-replica fleet.
+        An engine is any object exposing ``mc_forward_batched(x,
+        n_samples=..., chunk_passes=...) -> PredictiveResult`` —
+        normally a :class:`~repro.bayesian.BayesianCim`,
+        :class:`~repro.bayesian.SpinBayesNetwork`, a
+        :class:`~repro.serving.procpool.ProcReplica`, or (for
+        per-pixel workloads) a :class:`~repro.bayesian.
+        SegmenterEngine`, whose results carry H·W rows per input
+        image; construct the scheduler with ``feature_shape=(C, H,
+        W)`` and each request gets back exactly its own pixels.
+        ``None`` requires a ``registry``.
     n_samples:
         Default Monte-Carlo passes per request (the T of the
         predictive distribution); individual requests may override it
@@ -230,17 +247,18 @@ class BatchScheduler:
         pending requests group by ``(model, T)``, each group runs on
         its own (lazily loaded) engine, and every group's flush is
         recorded in that model's :class:`~repro.serving.metrics.
-        LoadMetrics`.  ``engine`` may then be ``None``, making every
+        LoadMetrics`.  ``engines`` may then be ``None``, making every
         request name a model explicitly.
     default_model:
         Registry model-id used for requests that do not name a model.
-        Requires ``registry``; mutually exclusive with ``engine``.
+        Requires ``registry``; mutually exclusive with ``engines``.
     metrics:
         Optional :class:`~repro.serving.metrics.LoadMetrics` fed one
-        record per successful engine flush (with per-model windows on
-        registry routes) plus queue-depth observations.  Defaults to
-        the control plane's collector when one is attached; an async
-        front-end driving this scheduler shares it.
+        record per flush group that served at least one request
+        (counting only the served requests' rows) plus queue-depth
+        observations.  Defaults to the control plane's collector when
+        one is attached; an async front-end driving this scheduler
+        shares it.
     admission:
         Optional bounded-queue policy applied on every ``submit()``:
         an :class:`~repro.serving.controlplane.AdmissionPolicy` (or a
@@ -253,11 +271,11 @@ class BatchScheduler:
     controlplane:
         Optional :class:`~repro.serving.controlplane.ControlPlane`
         binding this scheduler to SLO machinery: admission control on
-        submit, adaptive-T degradation per flush group, and (for
-        sharded schedulers) replica health quarantine.
+        submit, adaptive-T degradation per flush group, and replica
+        health quarantine.
     """
 
-    def __init__(self, engine=None, n_samples: int = 20,
+    def __init__(self, engines=None, n_samples: int = 20,
                  max_batch: int = 64,
                  chunk_passes: Optional[int] = None,
                  feature_shape: Optional[tuple] = None,
@@ -271,17 +289,24 @@ class BatchScheduler:
             raise ValueError("max_batch must be positive")
         if flush_interval is not None and flush_interval <= 0:
             raise ValueError("flush_interval must be positive")
-        if engine is None and registry is None:
-            raise ValueError(
-                "need an engine or a registry (or both) to serve from")
+        if engines is None:
+            if registry is None:
+                raise ValueError(
+                    "need an engine or a registry (or both) to serve from")
+            engines = []
+        else:
+            engines = [engines] if hasattr(engines, "mc_forward_batched") \
+                else list(engines)
+            if not engines:
+                raise ValueError("need at least one engine replica")
         if default_model is not None:
             if registry is None:
                 raise ValueError("default_model requires a registry")
-            if engine is not None:
+            if engines:
                 raise ValueError(
                     "pass either a default engine or a default_model, "
                     "not both")
-        self.engine = engine
+        self.engines = engines
         self.registry = registry
         self.default_model = default_model
         self.n_samples = n_samples
@@ -317,12 +342,14 @@ class BatchScheduler:
         self._flush_lock = threading.Lock()
         self._pending: List[_Request] = []
         self._pending_rows = 0
-        # Rows served by each engine replica in the most recent engine
-        # call ([total] for the single-engine scheduler; one entry per
-        # replica for ShardedScheduler) — the load-metrics hook.
-        self.last_shard_loads: List[int] = []
+        # The shard pool: created once two replicas exist, replaced
+        # (the old one retired) whenever the replica set outgrows it.
+        self._pool: Optional[ThreadPoolExecutor] = None
+        self._pool_size = 0
+        self._retired_pools: List[ThreadPoolExecutor] = []
+        self._ensure_pool_locked()
         # Per-sample input shape, keyed by model-id (None = the
-        # default engine / default_model route).  Shapes are pinned by
+        # replica set / default_model route).  Shapes are pinned by
         # the constructor argument, by the registry entry, or inferred
         # from a route's first request.
         self._feature_shapes: Dict[Optional[str], tuple] = {}
@@ -504,13 +531,70 @@ class BatchScheduler:
         with self._lock:
             return self._pending_rows
 
+    @property
+    def n_replicas(self) -> int:
+        """Current number of engine replicas."""
+        with self._lock:
+            return len(self.engines)
+
+    def add_replica(self, engine) -> int:
+        """Append an engine replica; returns the new replica count.
+
+        Safe to call at any time: flushes snapshot the replica list
+        under the scheduler lock, so in-flight shard calls keep using
+        the set they started with.  O(1) when the caller hands over a
+        pre-built (warm) engine — the autoscaler's scale-up path.
+        """
+        with self._lock:
+            self.engines.append(engine)
+            self._ensure_pool_locked()
+            return len(self.engines)
+
+    def remove_replica(self, engine=None):
+        """Drop and return a replica (the most recent by default).
+
+        ``engine`` removes that *specific* replica instead — the
+        control plane uses this to evict a quarantined engine, which,
+        unlike a scale-down pop, may sit anywhere in the list.  The
+        returned engine is no longer scheduled new shards (it may
+        still be finishing one, which completes normally) and can be
+        kept as a warm spare for a later :meth:`add_replica`.
+
+        Raises
+        ------
+        ValueError
+            When only one replica remains — a scheduler always keeps
+            at least one engine — or when ``engine`` is not a current
+            replica.
+        """
+        with self._lock:
+            if len(self.engines) <= 1:
+                raise ValueError(
+                    "cannot remove the last engine replica")
+            if engine is None:
+                return self.engines.pop()
+            for i, candidate in enumerate(self.engines):
+                if candidate is engine:
+                    return self.engines.pop(i)
+            raise ValueError(
+                "engine is not a replica of this scheduler")
+
     def close(self) -> None:
-        """Flush any pending requests and stop the deadline timer."""
+        """Flush any pending requests, stop the deadline timer and
+        shut down the shard pools."""
         with self._lock:
             self._closed = True
             self._timer = self._flush_at = None
             self._wake.notify_all()
-        self.flush()
+        with self._flush_lock:
+            self._flush_locked()
+            with self._lock:
+                pools = [self._pool, *self._retired_pools]
+                self._pool, self._retired_pools = None, []
+                self._pool_size = 0
+        for pool in pools:
+            if pool is not None:
+                pool.shutdown(wait=True)
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -657,8 +741,8 @@ class BatchScheduler:
 
     def _serve_group(self, requests: List[_Request], requested_t: int,
                      model_id: Optional[str] = None) -> None:
-        """Run one (model, T)-group at its SLO-adjusted sample count
-        and resolve its requests' futures.
+        """Run one (model, T)-group at its SLO-adjusted sample count,
+        record it, and resolve its requests' futures.
 
         The control plane may shed MC passes under latency pressure
         (adaptive-T): the group then runs at ``served_t <
@@ -667,13 +751,37 @@ class BatchScheduler:
         pass count).  Without a control plane — or with the p95 under
         target — the group runs exactly as requested, keeping results
         bit-identical to a plain scheduler.
+
+        A failure fails exactly that group's (or shard's) requests — a
+        poisoned engine must not wedge sibling groups.  This is the
+        one place a group is recorded, and only what it served counts:
+        the rows, requests and per-replica loads of the requests that
+        got a result feed the scheduler's ``metrics`` collector (when
+        attached) and, on a registry route, the model's own
+        :class:`~repro.serving.metrics.LoadMetrics`.  A group that
+        served nothing is not recorded.
         """
         served_t = requested_t
         if self.controlplane is not None:
             served_t = self.controlplane.served_t(requested_t)
-        outcomes = self._run_group_safe(requests, served_t, model_id)
         if served_t != requested_t:
             self.stats.degraded_flushes += 1
+        t0 = time.perf_counter()
+        try:
+            outcomes, loads = self._run_group(requests, served_t, model_id)
+        except Exception as exc:      # noqa: BLE001 — delivered to tickets
+            outcomes, loads = [(r, exc) for r in requests], []
+        latency_s = time.perf_counter() - t0
+        served = sum(not isinstance(o, BaseException) for _, o in outcomes)
+        if served:
+            if self.metrics is not None:
+                self.metrics.record_flush(
+                    rows=sum(loads), n_requests=served,
+                    latency_s=latency_s, replica_loads=loads)
+            if model_id is not None:
+                self.registry.record_flush(
+                    model_id, rows=sum(loads), n_requests=served,
+                    latency_s=latency_s)
         for request, outcome in outcomes:
             if isinstance(outcome, BaseException):
                 request.future.set_exception(outcome)
@@ -701,56 +809,108 @@ class BatchScheduler:
             groups.setdefault(key, []).append(request)
         return groups
 
-    def _run_group_safe(self, requests: List[_Request], n_samples: int,
-                        model_id: Optional[str] = None) -> list:
-        """Run one (model, T)-group; return ``(request, outcome)``
-        pairs, where an outcome is a result or the exception that
-        failed it.
+    def _ensure_pool_locked(self) -> None:
+        """(Re)size the shard pool to the replica count (scheduler
+        lock held, or construction).
 
-        An engine failure fails exactly that group's requests — a
-        poisoned engine must not wedge sibling groups.  This is the
-        one place a group is recorded: every successful group feeds
-        the scheduler's ``metrics`` collector (when attached) under
-        its model-id window, and registry-routed groups also feed
-        their model's :class:`~repro.serving.metrics.LoadMetrics`."""
-        t0 = time.perf_counter()
-        try:
-            outcomes = self._run_group(requests, n_samples, model_id)
-        except Exception as exc:      # noqa: BLE001 — delivered to tickets
-            return [(r, exc) for r in requests]
-        latency_s = time.perf_counter() - t0
-        rows = sum(r.x.shape[0] for r in requests)
-        if self.metrics is not None:
-            self.metrics.record_flush(
-                rows=rows, n_requests=len(requests), latency_s=latency_s,
-                replica_loads=self.last_shard_loads, model_id=model_id)
-        if model_id is not None and self.registry is not None:
-            self.registry.record_flush(
-                model_id, rows=rows, n_requests=len(requests),
-                latency_s=latency_s)
-        return outcomes
+        Growth replaces the executor; the old one is *retired*, not
+        shut down, because an in-flight flush may have snapshotted it
+        and still needs to submit shard calls (shutting it down here
+        would fail that flush's whole T-group).  Retired pools hold
+        only idle threads, are bounded by the number of scale-ups in
+        the scheduler's lifetime, and are closed in :meth:`close`.
+        Shrink keeps the larger pool, whose idle threads are free.
+        """
+        if len(self.engines) < 2 or self._pool_size >= len(self.engines):
+            return
+        if self._pool is not None:
+            self._retired_pools.append(self._pool)
+        self._pool_size = len(self.engines)
+        self._pool = ThreadPoolExecutor(max_workers=self._pool_size,
+                                        thread_name_prefix="shard")
 
-    def _resolve_engine(self, model_id: Optional[str]):
-        """The engine serving one group: the scheduler's own for the
-        default route, else the registry's (lazily loaded)."""
-        if model_id is None:
-            if self.engine is None:
-                raise ValueError(
-                    "scheduler has no default engine; submit with "
-                    "model=")
-            return self.engine
-        return self.registry.engine(model_id)
+    @staticmethod
+    def _partition(requests: List[_Request], n_replicas: int
+                   ) -> List[List[_Request]]:
+        """Assign whole requests to replicas, balancing row counts.
+
+        Greedy in arrival order: each request goes to the currently
+        least-loaded replica.  Deterministic, so a given submission
+        sequence always lands on the same replicas (for a fixed
+        replica count).
+        """
+        shards: List[List[_Request]] = [[] for _ in range(n_replicas)]
+        loads = [0] * n_replicas
+        for request in requests:
+            target = loads.index(min(loads))
+            shards[target].append(request)
+            loads[target] += request.x.shape[0]
+        return shards
 
     def _run_group(self, requests: List[_Request], n_samples: int,
-                   model_id: Optional[str] = None) -> list:
-        """One engine call over a same-(model, T) group; per-request
-        slices."""
-        engine = self._resolve_engine(model_id)
-        coalesced = np.concatenate([r.x for r in requests], axis=0)
-        self.last_shard_loads = [coalesced.shape[0]]
-        result = engine.mc_forward_batched(
-            coalesced, n_samples=n_samples, chunk_passes=self.chunk_passes)
-        return self._slice_group(requests, result)
+                   model_id: Optional[str] = None
+                   ) -> Tuple[list, List[int]]:
+        """Serve one same-(model, T) group; return its ``(request,
+        outcome)`` pairs — an outcome is a result slice or the
+        exception that failed it — and the rows each replica served.
+
+        A default-route group is partitioned across the replica set
+        (see :meth:`_partition`); with a control plane attached the
+        replica snapshot is first filtered through its health state
+        (quarantined replicas get no shards; an elapsed backoff turns
+        this flush into the probe), and every shard call reports its
+        outcome — success latency or failure — back to the plane.
+        The report takes only the plane's own lock, so pool workers
+        never touch the scheduler lock.  A registry-routed group runs
+        as one shard on its model's (lazily loaded) engine, without
+        health reporting.
+
+        A shard whose engine call raises fails exactly its own
+        requests and serves 0 rows; sibling shards resolve normally.
+        Two or more occupied shards run concurrently on the shard
+        pool.
+        """
+        controlplane = pool = None
+        if model_id is not None:
+            engines = [self.registry.engine(model_id)]
+        else:
+            with self._lock:
+                engines, pool = list(self.engines), self._pool
+            if not engines:
+                raise ValueError(
+                    "scheduler has no default engine; submit with model=")
+            controlplane = self.controlplane
+            if controlplane is not None:
+                engines = controlplane.eligible_engines(engines)
+        shards = self._partition(requests, len(engines))
+
+        def run_shard(engine, shard: List[_Request]) -> Tuple[list, int]:
+            if not shard:
+                return [], 0
+            rows = sum(r.x.shape[0] for r in shard)
+            t0 = time.perf_counter()
+            try:
+                result = engine.mc_forward_batched(
+                    np.concatenate([r.x for r in shard], axis=0),
+                    n_samples=n_samples, chunk_passes=self.chunk_passes)
+                outcomes = self._slice_group(shard, result)
+            except Exception as exc:  # noqa: BLE001 — delivered per ticket
+                if controlplane is not None:
+                    controlplane.record_outcome(
+                        engine, ok=False, rows=rows, error=exc)
+                return [(r, exc) for r in shard], 0
+            if controlplane is not None:
+                controlplane.record_outcome(
+                    engine, ok=True, rows=rows,
+                    latency_s=time.perf_counter() - t0)
+            return outcomes, rows
+
+        occupied = sum(1 for shard in shards if shard)
+        self.stats.shard_calls += occupied
+        run = pool.map if pool is not None and occupied > 1 else map
+        done = list(run(run_shard, engines, shards))
+        return ([pair for outcomes, _ in done for pair in outcomes],
+                [rows for _, rows in done])
 
     @staticmethod
     def _slice_group(requests: List[_Request], result: PredictiveResult

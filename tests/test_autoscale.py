@@ -5,7 +5,7 @@ import pytest
 
 from repro.bayesian import BayesianCim, make_spindrop_mlp
 from repro.cim import CimConfig
-from repro.serving import Autoscaler, LoadMetrics, MetricsSnapshot, ShardedScheduler
+from repro.serving import Autoscaler, BatchScheduler, LoadMetrics, MetricsSnapshot
 
 RNG = np.random.default_rng(29)
 
@@ -271,7 +271,7 @@ class TestSchedulerIntegration:
         """Regression: growing the replica set must not shut down a
         pool an in-flight flush may have snapshotted; retired pools
         close with the scheduler."""
-        sharded = ShardedScheduler([_engine(seed=5), _engine(seed=6)])
+        sharded = BatchScheduler([_engine(seed=5), _engine(seed=6)])
         old_pool = sharded._pool
         sharded.add_replica(_engine(seed=7))
         assert sharded._pool is not old_pool
@@ -284,8 +284,7 @@ class TestSchedulerIntegration:
             old_pool.submit(lambda: 0)       # now genuinely shut down
 
     def test_add_remove_replica_round_trip(self):
-        sharded = ShardedScheduler([_engine(seed=5)], n_samples=2,
-                                   parallel=False)
+        sharded = BatchScheduler([_engine(seed=5)], n_samples=2)
         extra = _engine(seed=6)
         assert sharded.add_replica(extra) == 2
         assert sharded.n_replicas == 2
@@ -300,8 +299,7 @@ class TestSchedulerIntegration:
             sharded.remove_replica()
 
     def test_autoscaler_drives_real_scheduler(self):
-        sharded = ShardedScheduler([_engine(seed=5)], n_samples=2,
-                                   parallel=False)
+        sharded = BatchScheduler([_engine(seed=5)], n_samples=2)
         scaler = Autoscaler(sharded, lambda: _engine(seed=7),
                             max_replicas=2, warm_spares=1)
         assert scaler.step(snap(utilization=0.9)) == 1
@@ -318,32 +316,6 @@ class TestSchedulerIntegration:
 
 
 class TestPerModelMetrics:
-    def test_flushes_file_under_their_model_window(self):
-        clock = FakeClock()
-        metrics = LoadMetrics(clock=clock, throughput_window_s=10.0)
-        for latency in (0.010, 0.020):
-            clock.advance(0.1)
-            metrics.record_flush(rows=4, n_requests=1, latency_s=latency,
-                                 model_id="mlp")
-        clock.advance(0.1)
-        metrics.record_flush(rows=8, n_requests=2, latency_s=0.200,
-                             model_id="segmenter")
-        s = metrics.snapshot()
-        assert set(s.per_model) == {"mlp", "segmenter"}
-        mlp, seg = s.per_model["mlp"], s.per_model["segmenter"]
-        assert mlp.flushes == 2 and mlp.requests == 2 and mlp.rows == 8
-        assert seg.flushes == 1 and seg.rows == 8
-        # The slow segmenter no longer hides inside one pooled p95.
-        assert mlp.p95_latency_s == pytest.approx(0.0195)
-        assert seg.p95_latency_s == pytest.approx(0.200)
-        # The top-level window still pools everything.
-        assert s.p95_latency_s > mlp.p95_latency_s
-
-    def test_anonymous_flushes_stay_out_of_per_model(self):
-        metrics = LoadMetrics()
-        metrics.record_flush(rows=2, n_requests=1, latency_s=0.01)
-        assert metrics.snapshot().per_model == {}
-
     def test_p95_accessor_matches_snapshot(self):
         metrics = LoadMetrics()
         for latency in (0.01, 0.02, 0.03):
@@ -440,8 +412,7 @@ class TestPromotion:
         down must still be replaceable: replenish_spares rebuilds the
         pool regardless of cooldown, and the next promotion uses it."""
         clock = FakeClock()
-        sharded = ShardedScheduler(
-            [_engine(seed=5), _engine(seed=6)], parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), _engine(seed=6)])
         built = []
 
         def factory():

@@ -14,7 +14,6 @@ from repro.serving import (
     ControlPlane,
     HealthPolicy,
     LoadMetrics,
-    ShardedScheduler,
     SloPolicy,
 )
 from repro.serving.controlplane import HEALTHY, PROBATION, QUARANTINED
@@ -330,8 +329,8 @@ class TestShardedQuarantine:
         policy.setdefault("probe_backoff_s", 1.0)
         plane = ControlPlane(health=HealthPolicy(**policy),
                              clock=clock or FakeClock())
-        sharded = ShardedScheduler(
-            [_engine(seed=5), bad_engine], n_samples=2, parallel=False,
+        sharded = BatchScheduler(
+            [_engine(seed=5), bad_engine], n_samples=2,
             max_batch=1024, controlplane=plane)
         return plane, sharded
 
@@ -341,6 +340,18 @@ class TestShardedQuarantine:
                    for _ in range(2)]
         sharded.flush()
         return tickets
+
+    def test_health_records_are_named_in_replica_order(self):
+        """Names follow the replica list, not shard completion order:
+        the slow first replica finishes last and is still replica-0."""
+        slow = SlowEngine(_engine(seed=5), delay_s=0.05)
+        fast = _engine(seed=6)
+        plane = ControlPlane(clock=FakeClock())
+        with BatchScheduler([slow, fast], n_samples=2, max_batch=1024,
+                            controlplane=plane) as sharded:
+            self._two_request_flush(sharded)
+        assert plane.health_of(slow).name == "replica-0"
+        assert plane.health_of(fast).name == "replica-1"
 
     def test_failing_replica_is_quarantined_and_unscheduled(self):
         bad = PoisonEngine()
@@ -423,8 +434,8 @@ class TestShardedQuarantine:
         plane = ControlPlane(health=HealthPolicy(quarantine_after=1,
                                                  probe_backoff_s=1.0),
                              clock=FakeClock())
-        sharded = ShardedScheduler([bad], n_samples=2, parallel=False,
-                                   controlplane=plane)
+        sharded = BatchScheduler([bad], n_samples=2,
+                                 controlplane=plane)
         ticket = sharded.submit(RNG.standard_normal((2, 12)))
         sharded.flush()
         with pytest.raises(InjectedFault):
@@ -552,8 +563,8 @@ class TestSoak:
             admission=AdmissionPolicy(max_queue_rows=256),
             slo=SloPolicy(target_p95_s=0.050, t_min=2),
             metrics=metrics, clock=clock)
-        sharded = ShardedScheduler(
-            [_engine(seed=5), flaky], n_samples=8, parallel=False,
+        sharded = BatchScheduler(
+            [_engine(seed=5), flaky], n_samples=8,
             max_batch=1024, controlplane=plane)
         scaler = Autoscaler(sharded, lambda: _engine(seed=21),
                             max_replicas=2, warm_spares=1,

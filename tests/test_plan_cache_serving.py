@@ -14,7 +14,7 @@ import threading
 import numpy as np
 
 from repro.bayesian import SegmenterEngine, make_bayesian_segmenter
-from repro.serving import ShardedScheduler
+from repro.serving import BatchScheduler
 from repro.tensor import functional as F
 from repro.tensor.functional import (
     clear_conv_plan_cache,
@@ -33,8 +33,8 @@ def _serve(xs, hammer_clears):
     a concurrent thread that clears the conv-plan cache in a loop."""
     engines = [SegmenterEngine(make_bayesian_segmenter(width=4, seed=s))
                for s in (3, 4)]
-    scheduler = ShardedScheduler(engines, n_samples=3,
-                                 feature_shape=(1, 16, 16))
+    scheduler = BatchScheduler(engines, n_samples=3,
+                               feature_shape=(1, 16, 16))
     stop = threading.Event()
     hammer = None
     if hammer_clears:

@@ -1,10 +1,10 @@
 """Process-backed replica pool: equivalence, transport, failure.
 
 The acceptance contract of the procpool PR: a k-worker
-:class:`ProcReplicaPool` under a :class:`ShardedScheduler` must serve
+:class:`ProcReplicaPool` under a :class:`BatchScheduler` must serve
 samples and ledger totals *bit-identical* to k threaded replicas built
 from the same snapshot/factory — for all four model families — while
-rows travel through the shared-memory slot rings (with a transparent
+rows travel through the shared-memory blocks (with a transparent
 pipe fallback for oversized payloads).  Worker death must surface as
 :class:`WorkerDied` on that replica only, feed the control plane's
 quarantine + warm-spare loop, and never wedge sibling tickets.  A
@@ -39,12 +39,12 @@ from repro.cim import CimConfig
 from repro.cim.snapshot import DeploymentSnapshot
 from repro.serving import (
     Autoscaler,
+    BatchScheduler,
     ControlPlane,
     HealthPolicy,
     ModelRegistry,
     ProcReplicaPool,
     RemoteEngineError,
-    ShardedScheduler,
     WorkerDied,
 )
 from repro.serving.controlplane import QUARANTINED
@@ -131,13 +131,13 @@ class TestBitExactEquivalence:
 
         rng = np.random.default_rng(17)
         xs = [make_x(rng, n) for n in (2, 3, 1, 2)]
-        kwargs = dict(n_samples=3, parallel=False, max_batch=1024)
+        kwargs = dict(n_samples=3, max_batch=1024)
         if feature_shape is not None:
             kwargs["feature_shape"] = feature_shape
         with pool:
-            threaded = ShardedScheduler(threaded_engines, **kwargs)
+            threaded = BatchScheduler(threaded_engines, **kwargs)
             proc_replicas = pool.replicas
-            sharded = ShardedScheduler(proc_replicas, **kwargs)
+            sharded = BatchScheduler(proc_replicas, **kwargs)
             t_tickets = [threaded.submit(x) for x in xs]
             p_tickets = [sharded.submit(x) for x in xs]
             threaded.flush()
@@ -165,7 +165,7 @@ class TestBitExactEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Transport: slot rings, pipe fallback, in-worker errors
+# Transport: shared-memory blocks, pipe fallback, in-worker errors
 # ----------------------------------------------------------------------
 class TestTransport:
     def test_oversized_payloads_fall_back_to_pipe(self, tmp_path):
@@ -196,8 +196,6 @@ class TestTransport:
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             ProcReplicaPool.from_factory(_spindrop_engine, workers=0)
-        with pytest.raises(ValueError):
-            ProcReplicaPool.from_factory(_spindrop_engine, slots=0)
         with pytest.raises(ValueError):
             ProcReplicaPool.from_factory(_spindrop_engine, slot_bytes=16)
         with pytest.raises(TypeError):
@@ -285,9 +283,8 @@ class TestWorkerDeath:
             plane = ControlPlane(health=HealthPolicy(
                 quarantine_after=1, probe_backoff_s=1000.0,
                 max_backoff_s=10000.0))
-            sharded = ShardedScheduler(replicas, n_samples=2,
-                                       parallel=False, max_batch=1024,
-                                       controlplane=plane)
+            sharded = BatchScheduler(replicas, n_samples=2, max_batch=1024,
+                                     controlplane=plane)
             scaler = Autoscaler(sharded, pool.spawn_replica,
                                 max_replicas=4, warm_spares=1,
                                 cooldown_s=1000.0)

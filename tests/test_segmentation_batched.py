@@ -25,7 +25,7 @@ from repro.bayesian import (
     pixel_maps,
 )
 from repro.bayesian.spatial import SpatialSpinDropout
-from repro.serving import BatchScheduler, ShardedScheduler
+from repro.serving import BatchScheduler
 from repro.tensor import Tensor, functional as F, no_grad
 from repro.tensor.functional import (
     clear_conv_plan_cache,
@@ -313,8 +313,8 @@ class TestPerPixelServing:
 
     def test_sharded_per_pixel(self):
         engines = [self._engine(seed=s) for s in (1, 2)]
-        scheduler = ShardedScheduler(engines, parallel=False, n_samples=3,
-                                     feature_shape=(1, 16, 16))
+        scheduler = BatchScheduler(engines, n_samples=3,
+                                   feature_shape=(1, 16, 16))
         a = scheduler.submit(RNG.standard_normal((2, 1, 16, 16)))
         b = scheduler.submit(RNG.standard_normal((1, 1, 16, 16)))
         scheduler.flush()
@@ -355,8 +355,8 @@ class TestPerPixelServing:
         # are thread-local, so concurrent stacked forwards never share
         # a buffer.
         engines = [self._engine(seed=s) for s in (1, 2, 3)]
-        with ShardedScheduler(engines, parallel=True, n_samples=3,
-                              feature_shape=(1, 16, 16)) as scheduler:
+        with BatchScheduler(engines, n_samples=3,
+                            feature_shape=(1, 16, 16)) as scheduler:
             tickets = [scheduler.submit(RNG.standard_normal((2, 1, 16, 16)))
                        for _ in range(3)]
             scheduler.flush()

@@ -13,7 +13,6 @@ from repro.serving import (
     BatchScheduler,
     LoadMetrics,
     ResultTimeout,
-    ShardedScheduler,
 )
 from repro.serving.faults import PoisonEngine
 
@@ -56,15 +55,15 @@ class TestEquivalence:
 
     def test_bit_identical_over_sharded_inner(self):
         xs = [RNG.standard_normal((n, 12)) for n in (2, 3, 1)]
-        sync = ShardedScheduler([_engine(seed=5), _engine(seed=6)],
-                                n_samples=3, parallel=False)
+        sync = BatchScheduler([_engine(seed=5), _engine(seed=6)],
+                              n_samples=3)
         sync_tickets = [sync.submit(x) for x in xs]
         sync.flush()
         expected = [t.result().samples for t in sync_tickets]
 
         async def go():
-            inner = ShardedScheduler([_engine(seed=5), _engine(seed=6)],
-                                     n_samples=3, parallel=False)
+            inner = BatchScheduler([_engine(seed=5), _engine(seed=6)],
+                                   n_samples=3)
             async with AsyncBatchScheduler(inner) as frontend:
                 tickets = [await frontend.submit(x) for x in xs]
                 await frontend.flush()
@@ -291,8 +290,8 @@ class TestFailureIsolation:
         """Async view of the sharded error-isolation fix: the poisoned
         replica's ticket raises the original error, siblings resolve."""
         async def go():
-            inner = ShardedScheduler([_engine(seed=5), PoisonEngine()],
-                                     n_samples=3, parallel=False)
+            inner = BatchScheduler([_engine(seed=5), PoisonEngine()],
+                                   n_samples=3)
             async with AsyncBatchScheduler(inner) as frontend:
                 # Greedy row balance: req0 (2 rows) -> replica0,
                 # req1 (3 rows) -> poisoned replica1, req2 -> replica0.
@@ -348,8 +347,8 @@ class TestMetricsAndScaling:
         (deliberately low) threshold; the autoscaler must scale the
         sharded inner up and keep results flowing."""
         async def go():
-            sharded = ShardedScheduler([_engine(seed=5)], n_samples=6,
-                                       max_batch=64)
+            sharded = BatchScheduler([_engine(seed=5)], n_samples=6,
+                                     max_batch=64)
             scaler = Autoscaler(
                 sharded, lambda: _engine(seed=11), min_replicas=1,
                 max_replicas=2, scale_up_utilization=0.2,
@@ -380,7 +379,7 @@ class TestMetricsAndScaling:
         """A raising policy step is recorded, not propagated into the
         flush path — requests keep resolving."""
         async def go():
-            sharded = ShardedScheduler([_engine(seed=5)], n_samples=2)
+            sharded = BatchScheduler([_engine(seed=5)], n_samples=2)
             scaler = Autoscaler(sharded, lambda: _engine(seed=7),
                                 max_replicas=2, warm_spares=0)
 

@@ -1,11 +1,11 @@
-"""ShardedScheduler: one coalesced batch across engine replicas."""
+"""BatchScheduler replica sets: one coalesced batch across engine replicas."""
 
 import numpy as np
 import pytest
 
 from repro.bayesian import BayesianCim, make_spindrop_mlp
 from repro.cim import CimConfig
-from repro.serving import BatchScheduler, ShardedScheduler
+from repro.serving import BatchScheduler, LoadMetrics, ModelRegistry
 from repro.serving.faults import PoisonEngine
 
 RNG = np.random.default_rng(17)
@@ -19,13 +19,13 @@ def _engine(seed=9):
 class TestSharding:
     def test_requires_at_least_one_replica(self):
         with pytest.raises(ValueError):
-            ShardedScheduler([])
+            BatchScheduler([])
 
     def test_single_replica_equals_plain_scheduler(self):
         """With one replica sharding is the identity."""
         x1 = RNG.standard_normal((2, 12))
         x2 = RNG.standard_normal((3, 12))
-        sharded = ShardedScheduler([_engine(seed=5)], n_samples=4)
+        sharded = BatchScheduler([_engine(seed=5)], n_samples=4)
         plain = BatchScheduler(_engine(seed=5), n_samples=4)
         s1, s2 = sharded.submit(x1), sharded.submit(x2)
         p1, p2 = plain.submit(x1), plain.submit(x2)
@@ -40,8 +40,8 @@ class TestSharding:
         """Each request's slice comes from exactly one replica: a
         seeded per-replica replay reproduces it bit-for-bit."""
         xs = [RNG.standard_normal((n, 12)) for n in (2, 3, 1, 2)]
-        sharded = ShardedScheduler([_engine(seed=5), _engine(seed=6)],
-                                   n_samples=3, parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), _engine(seed=6)],
+                                 n_samples=3)
         tickets = [sharded.submit(x) for x in xs]
         sharded.flush()
         assert sharded.stats.shard_calls == 2
@@ -63,7 +63,7 @@ class TestSharding:
 
     def test_parallel_pool_resolves_all_requests(self):
         engines = [_engine(seed=s) for s in (5, 6, 7)]
-        with ShardedScheduler(engines, n_samples=2, max_batch=64) \
+        with BatchScheduler(engines, n_samples=2, max_batch=64) \
                 as sharded:
             tickets = [sharded.submit(RNG.standard_normal((2, 12)))
                        for _ in range(9)]
@@ -77,8 +77,8 @@ class TestSharding:
         assert sharded._pool is None          # closed with the scheduler
 
     def test_per_request_samples_compose_with_sharding(self):
-        sharded = ShardedScheduler([_engine(seed=5), _engine(seed=6)],
-                                   n_samples=2, parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), _engine(seed=6)],
+                                 n_samples=2)
         shallow = sharded.submit(RNG.standard_normal((2, 12)))
         deep = sharded.submit(RNG.standard_normal((2, 12)), n_samples=6)
         sharded.flush()
@@ -86,11 +86,11 @@ class TestSharding:
         assert deep.result().samples.shape[0] == 6
 
     def test_row_balancing_spreads_load(self):
-        sharded = ShardedScheduler([_engine(seed=5), _engine(seed=6)],
-                                   n_samples=2, parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), _engine(seed=6)],
+                                 n_samples=2)
         for n in (4, 1, 1, 1, 1):
             sharded.submit(RNG.standard_normal((n, 12)))
-        shards = sharded._partition(sharded._pending)
+        shards = sharded._partition(sharded._pending, sharded.n_replicas)
         rows = sorted(sum(r.x.shape[0] for r in shard) for shard in shards)
         assert rows == [4, 4]
 
@@ -99,10 +99,9 @@ class TestShardFailureIsolation:
     """Regression: a replica failure used to abort the whole flush,
     leaving *sibling* shards' tickets pending forever."""
 
-    @pytest.mark.parametrize("parallel", [False, True])
-    def test_poisoned_replica_fails_only_its_own_tickets(self, parallel):
-        sharded = ShardedScheduler([_engine(seed=5), PoisonEngine()],
-                                   n_samples=3, parallel=parallel)
+    def test_poisoned_replica_fails_only_its_own_tickets(self):
+        sharded = BatchScheduler([_engine(seed=5), PoisonEngine()],
+                                 n_samples=3)
         # Greedy row balance: req0 (2 rows) -> replica0, req1 (3 rows)
         # -> poisoned replica1, req2 (1 row) -> replica0.
         ok1 = sharded.submit(RNG.standard_normal((2, 12)))
@@ -117,8 +116,8 @@ class TestShardFailureIsolation:
             bad.result()
 
     def test_failure_carries_the_original_traceback(self):
-        sharded = ShardedScheduler([_engine(seed=5), PoisonEngine()],
-                                   n_samples=3, parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), PoisonEngine()],
+                                 n_samples=3)
         sharded.submit(RNG.standard_normal((2, 12)))
         bad = sharded.submit(RNG.standard_normal((3, 12)))
         sharded.submit(RNG.standard_normal((1, 12)))
@@ -129,8 +128,8 @@ class TestShardFailureIsolation:
         assert "mc_forward_batched" in frames    # the engine frame
 
     def test_scheduler_keeps_serving_after_a_shard_failure(self):
-        sharded = ShardedScheduler([_engine(seed=5), PoisonEngine()],
-                                   n_samples=2, parallel=False)
+        sharded = BatchScheduler([_engine(seed=5), PoisonEngine()],
+                                 n_samples=2)
         sharded.submit(RNG.standard_normal((2, 12)))
         bad = sharded.submit(RNG.standard_normal((3, 12)))
         sharded.flush()
@@ -142,3 +141,39 @@ class TestShardFailureIsolation:
         later = sharded.submit(RNG.standard_normal((2, 12)))
         sharded.flush()
         assert later.result().probs.shape == (2, 3)
+
+
+class TestServedLoadMetrics:
+    """Load metrics book only what a flush group actually served."""
+
+    def test_failed_shard_rows_are_not_booked(self):
+        metrics = LoadMetrics()
+        sharded = BatchScheduler([_engine(seed=5), PoisonEngine()],
+                                 n_samples=3, metrics=metrics)
+        # One 2-row request per replica; the poisoned replica's fails.
+        ok = sharded.submit(RNG.standard_normal((2, 12)))
+        bad = sharded.submit(RNG.standard_normal((2, 12)))
+        sharded.flush()
+        assert ok.result().probs.shape == (2, 3)
+        with pytest.raises(RuntimeError, match="boom"):
+            bad.result()
+        snap = metrics.snapshot()
+        assert (snap.flushes, snap.requests, snap.rows) == (1, 1, 2)
+        assert snap.replica_rows == (2, 0)
+
+    def test_group_that_served_nothing_is_not_recorded(self):
+        metrics = LoadMetrics()
+        registry = ModelRegistry()
+        registry.register("bad", engine=PoisonEngine())
+        sharded = BatchScheduler([PoisonEngine()], n_samples=3,
+                                 registry=registry, metrics=metrics)
+        tickets = [sharded.submit(RNG.standard_normal((2, 12))),
+                   sharded.submit(RNG.standard_normal((2, 12)),
+                                  model="bad")]
+        sharded.flush()
+        for ticket in tickets:
+            with pytest.raises(RuntimeError, match="boom"):
+                ticket.result()
+        assert sharded.stats.flushes == 2
+        assert metrics.snapshot().flushes == 0
+        assert registry.metrics("bad").snapshot().flushes == 0
