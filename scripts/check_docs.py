@@ -6,8 +6,15 @@ Checks every Markdown page under ``docs/`` plus ``README.md``:
   (``compile(..., "exec")``), so documentation examples cannot rot
   into syntax errors;
 - every relative Markdown link/image target (``[text](path)``)
-  resolves to an existing file or directory, anchors and external
-  ``http(s)``/``mailto`` targets excluded.
+  resolves to an existing file or directory, external
+  ``http(s)``/``mailto`` targets excluded;
+- every ``#fragment`` of a link to a Markdown page (``page.md#anchor``,
+  or ``#anchor`` within the page) names one of that page's headings,
+  by GitHub's anchor rule: the heading text lower-cased, inline
+  markup dropped, every character but letters, digits, ``_``, ``-``
+  and spaces removed, spaces turned into ``-``, and ``-1``, ``-2``, …
+  appended to repeats.  Lines inside fenced code blocks are not
+  headings.
 
 Exits non-zero listing every failure.  CI runs this in the lint job;
 run it locally with ``python scripts/check_docs.py``.
@@ -22,7 +29,29 @@ PYTHON_BLOCK = re.compile(r"```python[ \t]*\n(.*?)```", re.DOTALL)
 # [text](target) links and ![alt](target) images; stops at the first
 # closing paren, which Markdown requires be balanced for plain paths.
 LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
-EXTERNAL = ("http://", "https://", "mailto:", "#")
+EXTERNAL = ("http://", "https://", "mailto:")
+FENCE = re.compile(r"^[ \t]*(```|~~~)")
+HEADING = re.compile(r"^#{1,6}[ \t]+(.*?)(?:[ \t]+#+)?[ \t]*$")
+LINK_TEXT = re.compile(r"!?\[([^\]]*)\]\([^)]*\)")
+
+
+def heading_slugs(text: str) -> set:
+    """The GitHub anchor of every heading on a Markdown page."""
+    slugs, seen = set(), {}
+    in_fence = False
+    for line in text.splitlines():
+        if FENCE.match(line):
+            in_fence = not in_fence
+            continue
+        match = None if in_fence else HEADING.match(line)
+        if match is None:
+            continue
+        title = LINK_TEXT.sub(r"\1", match.group(1)).strip().lower()
+        slug = re.sub(r"[^\w\- ]", "", title).replace(" ", "-")
+        repeat = seen.get(slug, 0)
+        seen[slug] = repeat + 1
+        slugs.add(f"{slug}-{repeat}" if repeat else slug)
+    return slugs
 
 
 def check_file(path: pathlib.Path) -> list:
@@ -45,10 +74,14 @@ def check_file(path: pathlib.Path) -> list:
         if target.startswith(EXTERNAL):
             continue
         line = text[:match.start()].count("\n") + 1
-        resolved = (path.parent / target.split("#", 1)[0]).resolve()
+        page, _, fragment = target.partition("#")
+        resolved = (path.parent / page).resolve() if page else path
         if not resolved.exists():
             errors.append(
                 f"{rel}:{line}: broken relative link -> {target}")
+        elif fragment and resolved.suffix == ".md" and fragment not in \
+                heading_slugs(resolved.read_text(encoding="utf-8")):
+            errors.append(f"{rel}:{line}: broken anchor -> {target}")
     return errors
 
 
@@ -68,7 +101,8 @@ def main() -> int:
     if errors:
         print(f"FAIL: {len(errors)} docs problem(s) in: {checked}")
         return 1
-    print(f"PASS: docs snippets parse and links resolve ({checked})")
+    print(f"PASS: docs snippets parse, links and anchors resolve "
+          f"({checked})")
     return 0
 
 

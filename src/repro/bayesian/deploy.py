@@ -19,27 +19,28 @@ Two execution strategies produce those T passes:
   per-pass Python loop: re-draw hardware randomness, walk the stage
   list, repeat T times;
 * **batched** (default) — :meth:`BayesianCim.forward_batched`
-  pre-draws all T per-pass mask banks (consuming the RNG streams in
-  exactly the sequential order), installs them as per-row banks on the
-  stochastic stages, and pushes one flattened ``(T·N, …)`` tensor
-  through the analog chain as stacked ndarray ops.  Ledger totals are
-  identical by construction, and with no cycle-to-cycle read noise the
-  outputs are bit-for-bit identical to the sequential path.
+  pre-draws all T per-pass mask banks (one ``random`` call per RNG
+  stream, consuming each stream in exactly the sequential order),
+  installs them as per-row banks on the stochastic stages, and pushes
+  one flattened ``(T·N, …)`` tensor through the analog chain as
+  stacked ndarray ops.  Ledger totals are identical by construction,
+  and with no cycle-to-cycle read noise the outputs are bit-for-bit
+  identical to the sequential path.
 
 Underneath, the analog chain runs on the shared kernel substrate of
 :mod:`repro.tensor.functional`: :class:`~repro.cim.layers.CimConv2d`
-gathers its im2col patches through the memoized conv-plan cache into
-per-thread scratch arenas (zero index-plan rebuilds and near-zero
-fresh allocation once warm) and, on an ideal chain, takes the
-exact-integer float32 crossbar route — so both strategies share the
-same fast kernels and stay bit-for-bit comparable.  The ``cim_conv``
+gathers its im2col patches by strided-slice copies into per-thread
+scratch arenas and, on an ideal chain, takes the exact-integer float32
+crossbar route, whose ADC also quantizes in float32; the digital
+stages work in place on the arrays they allocate.  Both strategies
+share these kernels and stay bit-for-bit comparable.  The ``cim_conv``
 entry of ``scripts/bench_ci.py`` gates all of that in CI.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -218,17 +219,75 @@ class BayesianCim:
     def _draw_sample_banks(self, n_samples: int) -> List[np.ndarray]:
         """Pre-draw T passes of hardware randomness, one bank per binding.
 
-        Draws consume the RNG streams in exactly the order T sequential
-        :meth:`_resample` calls would (pass-major, then binding order),
-        so a seeded batched run reproduces the sequential masks
-        bit-for-bit.  Returns one ``(T, …)`` array per binding:
-        keep-masks for neuron/channel, scalar multipliers for scale,
-        (gamma, beta) multiplier pairs for affine, per-feature
-        multiplier vectors for VI.
+        Every RNG stream is consumed in exactly the order T sequential
+        :meth:`_resample` calls would consume it (pass-major, then
+        binding order), so a seeded batched run reproduces the
+        sequential masks bit-for-bit.  Streams are independent, so the
+        bindings are grouped by the generator they draw from:
+
+        * a generator that feeds only mask banks (neuron, channel,
+          scale, affine) is drawn once, as ``random((T, bits per
+          pass))``: the same doubles, in the same order, that T ×
+          bindings :meth:`SpintronicRNG.generate` calls would return.
+          They are compared with the banks' concatenated per-bit
+          probabilities and split by binding, and each bank books its
+          SET/read/RESET cycles as ``generate`` would;
+        * a generator that any VI binding samples keeps the pass-major
+          loop, because a Gaussian posterior sample consumes no fixed
+          count of doubles.
+
+        Returns one ``(T, …)`` array per binding: keep-masks for
+        neuron/channel, scalar multipliers for scale, (gamma, beta)
+        multiplier pairs for affine, per-feature multiplier vectors for
+        VI.
         """
-        draws: List[list] = [[] for _ in self.bindings]
+        streams: Dict[int, List[int]] = {}
+        for idx, binding in enumerate(self.bindings):
+            rng = (binding.source.rng if binding.kind == "vi"
+                   else binding.rng_bank.rng)
+            streams.setdefault(id(rng.bit_generator), []).append(idx)
+        banks: List[Optional[np.ndarray]] = [None] * len(self.bindings)
+        for members in streams.values():
+            group = [self.bindings[idx] for idx in members]
+            if any(binding.kind == "vi" for binding in group):
+                drawn = self._draw_pass_major(group, n_samples)
+            else:
+                drawn = self._draw_stream(group, n_samples)
+            for idx, bank in zip(members, drawn):
+                banks[idx] = bank
+        return banks
+
+    def _draw_stream(self, group: List[_MaskBinding],
+                     n_samples: int) -> List[np.ndarray]:
+        """All T passes of mask banks sharing one generator, in one draw."""
+        widths = [self._rng_bits_per_image(binding) for binding in group]
+        probs = np.concatenate([binding.rng_bank.bit_probabilities(width)
+                                for binding, width in zip(group, widths)])
+        drop = group[0].rng_bank.rng.random((n_samples, probs.size)) < probs
+        banks = []
+        start = 0
+        for binding, width in zip(group, widths):
+            cols = drop[:, start:start + width]
+            start += width
+            binding.rng_bank.book_cycles(n_samples * width)
+            if binding.kind in ("neuron", "channel"):
+                banks.append((~cols).astype(np.float64))
+            elif binding.kind == "scale":
+                layer: ScaleDropout = binding.source
+                banks.append(np.where(cols[:, 0], float(layer.drop_scale),
+                                      1.0))
+            else:  # affine: (gamma, beta) multipliers
+                banks.append(np.where(cols, 0.0, 1.0))
+        return banks
+
+    @staticmethod
+    def _draw_pass_major(group: List[_MaskBinding],
+                         n_samples: int) -> List[np.ndarray]:
+        """T passes of a generator's bindings, one draw per binding and
+        pass, in sequential order."""
+        draws: List[list] = [[] for _ in group]
         for _ in range(n_samples):
-            for slot, binding in zip(draws, self.bindings):
+            for slot, binding in zip(draws, group):
                 if binding.kind in ("neuron", "channel"):
                     bits = binding.rng_bank.generate(binding.rng_bank.n_modules)
                     slot.append((bits < 0.5).astype(np.float64))
@@ -308,8 +367,9 @@ class BayesianCim:
         Bit-for-bit identical to T calls of ``forward(x,
         stochastic=True)`` under the same seed, with identical ledger
         totals (crossbar accesses, ADC conversions, RNG cycles, SRAM
-        reads).  Mask banks are pre-drawn in sequential RNG order, then
-        the passes run as one flattened ``(T·N, …)`` tensor.  Two
+        reads).  Mask banks are pre-drawn in sequential RNG order
+        (:meth:`_draw_sample_banks`), then the passes run as one
+        flattened ``(T·N, …)`` tensor.  Two
         refinements keep that equivalence exact while going fast:
 
         * the *pass-invariant prefix* — every stage before the first

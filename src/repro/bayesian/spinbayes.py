@@ -469,10 +469,7 @@ class SpinBayesNetwork:
                 hi = np.where(take, hi, mid)
             selections[:, j] = lo
             offset += 2 * n_stages
-            bank = arbiter._stage_rng
-            bank.set_ops += n_samples * n_stages
-            bank.read_ops += n_samples * n_stages
-            bank.reset_ops += n_samples * n_stages
+            arbiter._stage_rng.book_cycles(n_samples * n_stages)
             arbiter.selections += n_samples
             self.ledger.add(
                 "rng_cycle", n_samples * arbiter.cycles_per_selection)

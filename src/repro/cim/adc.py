@@ -77,6 +77,19 @@ class PopcountADC(ADC):
     every count gets its own code (exact readout); with fewer bits
     adjacent counts share codes (quantization), the step growing as
     ``ceil((2·rows) / (2^bits − 1))`` counts per code.
+
+    :meth:`convert` clips into one fresh array of the input's dtype
+    (float32 stays float32, anything else becomes float64) and
+    divides, rounds and rescales it in place, with scalars of that
+    dtype; in-place IEEE operations round exactly as out-of-place
+    ones.  Float32 partial sums come only from the exact-integer route
+    of :class:`~repro.cim.layers.CimConv2d`, whose layers have an odd
+    step: there every partial sum is an integer far below 2^24, no
+    quotient ``v / step`` lies on a rounding tie (``2v`` is even,
+    ``(2k + 1)·step`` is odd), and float32 rounding moves the quotient
+    by less than its distance ``1 / (2·step)`` from the nearest tie.
+    So the float32 result equals the float64 one exactly, at half the
+    memory traffic.
     """
 
     def __init__(self, bits: int, rows: int,
@@ -87,10 +100,17 @@ class PopcountADC(ADC):
         self.step = max(1, int(np.ceil(span / (self.n_codes - 1))))
 
     def convert(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=np.float64)
-        codes = np.rint(np.clip(values, self.lo, self.hi) / self.step)
+        values = np.asarray(values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
         self.ledger.add("adc_conversion", values.size)
-        return codes * self.step
+        t = values.dtype.type
+        out = np.clip(values, t(self.lo), t(self.hi),
+                      out=np.empty_like(values))
+        np.divide(out, t(self.step), out=out)
+        np.rint(out, out=out)
+        np.multiply(out, t(self.step), out=out)
+        return out
 
 
 class SenseAmplifier:

@@ -249,10 +249,10 @@ class CimConv2d(CimLayer):
     crossbar grid per independent channel group, ``dilation`` only
     changes the im2col geometry feeding the wordlines.
 
-    The im2col gather runs through the shared conv-plan cache and the
-    per-thread scratch arenas of :mod:`repro.tensor.functional`, so a
-    warm engine (batched MC, serving flushes) performs zero index-plan
-    rebuilds and near-zero fresh allocation.  When the analog chain is
+    The im2col gather copies strided slices into the per-thread
+    scratch arenas of :mod:`repro.tensor.functional`, so a warm engine
+    (batched MC, serving flushes) reuses its patch slab and builds no
+    index plan.  When the analog chain is
     ideal (see :attr:`XnorCrossbar.is_ideal`) and every row chunk's
     :class:`PopcountADC` has an odd integer step, the layer takes an
     *exact-integer float32* route: the decoded MAC of an ideal XNOR
@@ -263,6 +263,8 @@ class CimConv2d(CimLayer):
     deviation from the integer is ~1e-13 of float64 decode noise.
     (An even step *can* tie exactly at odd MACs, where that noise
     would decide the rounding — such layers stay on the analog path.)
+    The route hands the ADC its float32 partial sums, which
+    :class:`PopcountADC` quantizes in float32 with the same result.
     Within the exact route the bit-packed XNOR kernel is picked per
     row chunk and call by
     :func:`repro.tensor.bitpack.packed_route_beneficial`, as in
@@ -436,7 +438,11 @@ class CimConv2d(CimLayer):
                         bars[j].mvm_packed(planes, out=partial[c0:c1],
                                            col_major=True)
                 else:
-                    total_active = int(np.count_nonzero(chunk))
+                    # Counting the int32 view is exact: the slab holds
+                    # only +0.0 zeros (np.sign maps -0.0 to +0.0, and
+                    # the pad border and channel mask write +0.0), and
+                    # a float's bits are all zero only for +0.0.
+                    total_active = int(np.count_nonzero(chunk.view(np.int32)))
                     for j, (c0, c1) in enumerate(self.plan.col_chunks):
                         np.matmul(bars[j].signed_weights_t(), chunk,
                                   out=partial[c0:c1])
@@ -445,11 +451,11 @@ class CimConv2d(CimLayer):
 
         out = out.reshape(self.c_out, length, n)
         if self.scale is not None:
-            out = out * (self.scale * np.asarray(self.scale_multiplier)
-                         ).reshape(-1, 1, 1)
+            out *= (self.scale * np.asarray(self.scale_multiplier)
+                    ).reshape(-1, 1, 1)
             self.ledger.add("digital_mac", out.size)
         if self.bias is not None:
-            out = out + self.bias.reshape(-1, 1, 1)
+            out += self.bias.reshape(-1, 1, 1)
             self.ledger.add("digital_op", out.size)
         out = np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(
             n, self.c_out, out_h, out_w)
@@ -527,19 +533,28 @@ class FrozenNorm(CimLayer):
             gamma = gamma * gm + (1.0 - gm)
         if beta is not None:
             beta = beta * self._per_row(self.beta_multiplier, x)
+        # Only the first operation allocates; the rest update that
+        # array in place.  The input is never written: it may be the
+        # caller's array or the prefix broadcast across MC passes.
         if self.inverted:
-            out = x
             if gamma is not None:
-                out = out * gamma
-            if beta is not None:
-                out = out + beta
-            out = (out - mean) / std
+                out = x * gamma
+                if beta is not None:
+                    out += beta
+                out -= mean
+            elif beta is not None:
+                out = x + beta
+                out -= mean
+            else:
+                out = x - mean
+            out /= std
         else:
-            out = (x - mean) / std
+            out = x - mean
+            out /= std
             if gamma is not None:
-                out = out * gamma
+                out *= gamma
             if beta is not None:
-                out = out + beta
+                out += beta
         self.ledger.add("digital_mac", x.size)
         return out
 
@@ -660,7 +675,13 @@ class DigitalSign(CimLayer):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self.ledger.add("sa_read", x.size)
-        return np.where(x >= 0, 1.0, -1.0)
+        # 2·[x >= 0] − 1 in place on the fresh cast: the values of
+        # np.where(x >= 0, 1.0, -1.0), NaN -> −1 and −0.0 -> +1
+        # included, at a quarter of its cost.
+        out = np.greater_equal(x, 0).astype(np.float64)
+        out *= 2.0
+        out -= 1.0
+        return out
 
 
 class DigitalReLU(CimLayer):

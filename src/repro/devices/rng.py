@@ -82,19 +82,31 @@ class SpintronicRNG:
         Bits are produced round-robin across the module bank; each bit
         is one SET→read→RESET cycle on its module.
         """
+        bits = (self.rng.random(n_bits)
+                < self.bit_probabilities(n_bits)).astype(np.float64)
+        self.book_cycles(n_bits)
+        return bits
+
+    def bit_probabilities(self, n_bits: int) -> np.ndarray:
+        """Switching probability of each of ``n_bits`` round-robin bits:
+        bit ``i`` is drawn on module ``i % n_modules``."""
         if n_bits == 1:
-            # Fast path for single-bit draws (arbiter stages, scale
-            # masks): module 0, one double off the stream — identical
-            # bits to the general path, without the index arithmetic.
-            probs = self.effective_p[:1]
-        else:
-            module_idx = np.arange(n_bits) % self.n_modules
-            probs = self.effective_p[module_idx]
-        bits = (self.rng.random(n_bits) < probs).astype(np.float64)
+            # Single-bit draws (arbiter stages, scale masks) hit module
+            # 0: same probability, without the index arithmetic.
+            return self.effective_p[:1]
+        return self.effective_p[np.arange(n_bits) % self.n_modules]
+
+    def book_cycles(self, n_bits: int) -> None:
+        """Book ``n_bits`` SET→read→RESET cycles on the bank's counters.
+
+        The one place the counters move: :meth:`generate` and the
+        engines that draw a bank's bits in bulk off its stream
+        (:meth:`repro.bayesian.deploy.BayesianCim._draw_sample_banks`,
+        the SpinBayes arbiter draw) all book through it.
+        """
         self.set_ops += n_bits
         self.read_ops += n_bits
         self.reset_ops += n_bits
-        return bits
 
     def generate_mask(self, shape: tuple) -> np.ndarray:
         """Generate a drop mask of the given shape (1 = drop)."""

@@ -49,10 +49,12 @@ proxy bound to it; under a scheduler that fails only the dead
 replica's own shard tickets, and with a control plane attached the
 replica is quarantined and a warm spare promoted — sibling tickets
 never wedge, because worker death closes the pipe and the waiting
-``recv`` returns immediately.  An exception raised by the engine
-*inside* a healthy worker comes back as
-:class:`~repro.serving.errors.RemoteEngineError` carrying the remote
-traceback; the worker itself keeps serving.
+``recv`` returns immediately.  A worker that dies while booting, or
+stays silent for ``_BOOT_TIMEOUT_S`` seconds, is killed and its spawn
+raises :class:`~repro.serving.errors.WorkerDied` naming the worker.
+An exception raised by the engine *inside* a healthy worker comes
+back as :class:`~repro.serving.errors.RemoteEngineError` carrying the
+remote traceback; the worker itself keeps serving.
 """
 
 from __future__ import annotations
@@ -72,6 +74,11 @@ __all__ = ["ProcReplica", "ProcReplicaPool"]
 # A model source crossing the process boundary: ("snapshot", path) or
 # ("factory", picklable zero-arg callable).
 _Source = tuple
+
+# Seconds the parent waits for a new worker's boot handshake.  A
+# worker still silent after this long is presumed hung: it is killed
+# and the spawn raises WorkerDied instead of blocking forever.
+_BOOT_TIMEOUT_S = 120.0
 
 
 def _normalize_source(source) -> _Source:
@@ -559,6 +566,10 @@ class ProcReplicaPool:
         try:
             process.start()
             child_conn.close()
+            if not parent_conn.poll(_BOOT_TIMEOUT_S):
+                raise WorkerDied(
+                    f"procpool worker {index} did not finish booting "
+                    f"within {_BOOT_TIMEOUT_S:g} s")
             try:
                 reply = parent_conn.recv()  # boot handshake
             except EOFError:

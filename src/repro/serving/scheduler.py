@@ -387,10 +387,11 @@ class BatchScheduler:
         Raises
         ------
         ValueError
-            For an empty request, a feature-shape mismatch, an
-            ambiguous multi-dimensional first request without
-            ``feature_shape``, a ``model`` without a registry,
-            a non-positive ``deadline_s``, or ``n_samples < 1``.
+            For an empty request, a row holding NaN or inf, a
+            feature-shape mismatch, an ambiguous multi-dimensional
+            first request without ``feature_shape``, a ``model``
+            without a registry, a non-positive ``deadline_s``, or
+            ``n_samples < 1``.
         KeyError
             For a ``model`` the registry does not know.
         AdmissionRejected
@@ -442,7 +443,7 @@ class BatchScheduler:
         AsyncBatchScheduler`), so both enforce identical feature-shape
         inference, model routing, and per-request sample-count rules.
         Takes the scheduler lock (re-entrant) because it may fix a
-        route's feature shape from its first request.
+        route's feature shape from its first accepted request.
         """
         if n_samples is None:
             n_samples = self.n_samples
@@ -455,26 +456,28 @@ class BatchScheduler:
                 f"request names model {model!r} but the scheduler has "
                 f"no registry")
         x = np.asarray(x, dtype=np.float64)
+        finite = bool(np.isfinite(x).all())
         with self._lock:
+            # A route's shape is pinned (``pin``) only once the request
+            # has passed every check, so a rejected first request
+            # leaves the route unpinned.
+            shape = self._feature_shapes.get(model)
+            pin = None
             if feature_shape is not None:
                 # A per-request pin (the normalized submit signature):
                 # fixes the route's shape on first use, and must agree
                 # with an already-pinned one afterwards.
                 pinned = tuple(feature_shape)
-                known = self._feature_shapes.get(model)
-                if known is None:
-                    self._feature_shapes[model] = pinned
-                elif known != pinned:
+                if shape is None:
+                    shape = pin = pinned
+                elif shape != pinned:
                     raise ValueError(
                         f"request pins feature_shape={pinned} but the "
-                        f"route is already pinned to {known}")
-            shape = self._feature_shapes.get(model)
+                        f"route is already pinned to {shape}")
             if shape is None and model is not None:
                 # Raises KeyError for an unknown model — reject it at
                 # submit time rather than at flush.
-                shape = self.registry.feature_shape(model)
-                if shape is not None:
-                    self._feature_shapes[model] = shape
+                shape = pin = self.registry.feature_shape(model)
             if shape is None:
                 if x.ndim > 2:
                     raise ValueError(
@@ -489,8 +492,7 @@ class BatchScheduler:
                         f"with feature_shape=")
                 if x.ndim < 2:
                     x = x[None]
-                shape = x.shape[1:]
-                self._feature_shapes[model] = shape
+                shape = pin = x.shape[1:]
             elif x.shape == shape:
                 x = x[None]          # single unbatched sample
             if x.shape[1:] != shape:
@@ -500,6 +502,13 @@ class BatchScheduler:
                     f" features {shape}")
             if x.shape[0] == 0:
                 raise ValueError("empty request")
+            if not finite:
+                rows = np.isfinite(x).reshape(x.shape[0], -1).all(axis=1)
+                raise ValueError(
+                    f"request row {int(np.argmin(rows))} holds a "
+                    f"non-finite value (NaN or inf)")
+            if pin is not None:
+                self._feature_shapes[model] = pin
         return x, n_samples, model
 
     def _enqueue(self, x: np.ndarray, n_samples: int,

@@ -434,14 +434,16 @@ def pad2d(a, padding: int) -> Tensor:
 class _PlanCache:
     """Bounded memo of im2col gather/scatter index plans.
 
-    Every convolution, pooling window and col2im scatter derives its
-    fancy-index arrays purely from the spatial geometry ``(h, w, kh,
-    kw, stride)``.  Monte-Carlo inference re-runs the same geometry T
-    times per prediction (and serving re-runs it per flush), so the
-    plans are memoized here and rebuilt only when a new geometry
-    appears.  LRU-bounded: a long-lived process cycling through many
-    input shapes evicts the least recently used plan instead of
-    growing without limit.
+    Every training-path convolution, pooling window and col2im scatter
+    derives its fancy-index arrays purely from the spatial geometry
+    ``(h, w, kh, kw, stride, dilation)`` (inference convolutions gather
+    by strided slices instead, see :func:`_gather_padded_patches`).
+    Monte-Carlo inference re-runs the same geometry T times per
+    prediction (and serving re-runs it per flush), so the plans are
+    memoized here and rebuilt only when a new geometry appears.
+    LRU-bounded: a long-lived process cycling through many input
+    shapes evicts the least recently used plan instead of growing
+    without limit.
     """
 
     def __init__(self, max_plans: int = 128):
@@ -504,16 +506,21 @@ def clear_conv_plan_cache() -> None:
     _conv_plans.clear()
 
 
-def _build_im2col_indices(h: int, w: int, kh: int, kw: int, stride: int,
-                          dilation: int = 1):
-    span_h = (kh - 1) * dilation + 1
-    span_w = (kw - 1) * dilation + 1
-    out_h = (h - span_h) // stride + 1
-    out_w = (w - span_w) // stride + 1
+def _conv_output_hw(h: int, w: int, kh: int, kw: int, stride: int,
+                    dilation: int = 1) -> Tuple[int, int]:
+    """Output height and width of a valid (already padded) window."""
+    out_h = (h - (kh - 1) * dilation - 1) // stride + 1
+    out_w = (w - (kw - 1) * dilation - 1) // stride + 1
     if out_h < 1 or out_w < 1:
         raise ValueError(
             f"kernel ({kh}x{kw}, dilation {dilation}) does not fit the "
             f"{h}x{w} input")
+    return out_h, out_w
+
+
+def _build_im2col_indices(h: int, w: int, kh: int, kw: int, stride: int,
+                          dilation: int = 1):
+    out_h, out_w = _conv_output_hw(h, w, kh, kw, stride, dilation)
     i0 = np.repeat(dilation * np.arange(kh), kw)
     j0 = np.tile(dilation * np.arange(kw), kh)
     i1 = stride * np.repeat(np.arange(out_h), out_w)
@@ -610,22 +617,24 @@ def _gather_padded_patches(x: np.ndarray, kh: int, kw: int, stride: int,
 
     Writes the (N, C, H, W) image interior into a zero-bordered
     channel-first scratch buffer (one pass, casting on the fly — the
-    implicit zero-pad), then gathers it with the memoized flat index
-    plan into a ``(C, KH·KW·L, N)`` patch slab.  Both buffers live in
-    the per-thread scratch arena; ``padding`` is part of their key
-    because the pad buffer relies on its border never being written,
-    which an unpadded call with the same (h, w) would violate.  The
-    border stays zero across reuses because only the interior is ever
-    written.  Returns ``(patch_slab, out_h, out_w)``; a flat
-    ``(C·KH·KW, L·N)`` view of the slab is a valid GEMM operand whose
-    unfolded row axis is channel-major.  Callers with distinct
-    consumption patterns pass their own ``tag`` so their slabs never
-    alias.
+    implicit zero-pad), then copies it into a ``(C, KH·KW·L, N)`` patch
+    slab with one strided-slice copy per kernel tap: tap ``(i, j)``
+    fills the slab rows ``(i·KW + j)·L … + L`` with the padded image
+    sampled from ``(i·dilation, j·dilation)`` at ``stride``.  Each copy
+    moves contiguous runs of N values, so the gather needs no index
+    plan.  Both buffers live in the per-thread scratch arena;
+    ``padding`` is part of their key because the pad buffer relies on
+    its border never being written, which an unpadded call with the
+    same (h, w) would violate.  The border stays zero across reuses
+    because only the interior is ever written.  Returns
+    ``(patch_slab, out_h, out_w)``; a flat ``(C·KH·KW, L·N)`` view of
+    the slab is a valid GEMM operand whose unfolded row axis is
+    channel-major.  Callers with distinct consumption patterns pass
+    their own ``tag`` so their slabs never alias.
     """
     n, c, h0, w0 = x.shape
     h, w = h0 + 2 * padding, w0 + 2 * padding
-    _, _, out_h, out_w = _im2col_indices(h, w, kh, kw, stride, dilation)
-    flat_idx = _flat_gather_indices(h, w, kh, kw, stride, dilation)
+    out_h, out_w = _conv_output_hw(h, w, kh, kw, stride, dilation)
     key = (tag, n, c, h, w, kh, kw, stride, padding, dilation, dtype.str)
     xtl, patch_slab = _conv_scratch_buffers(
         key, lambda: (
@@ -635,7 +644,15 @@ def _gather_padded_patches(x: np.ndarray, kh: int, kw: int, stride: int,
     interior = (slice(None),
                 slice(padding, h - padding), slice(padding, w - padding))
     np.copyto(xtl[interior], x.transpose(1, 2, 3, 0))
-    np.take(xtl.reshape(c, h * w, n), flat_idx, axis=1, out=patch_slab)
+    taps = patch_slab.reshape(c, kh, kw, out_h, out_w, n)
+    span_h = (out_h - 1) * stride + 1
+    span_w = (out_w - 1) * stride + 1
+    for i in range(kh):
+        top = i * dilation
+        rows = xtl[:, top:top + span_h:stride]
+        for j in range(kw):
+            left = j * dilation
+            np.copyto(taps[:, i, j], rows[:, :, left:left + span_w:stride])
     return patch_slab, out_h, out_w
 
 
@@ -653,10 +670,11 @@ def _conv2d_infer(x: np.ndarray, weight: np.ndarray,
     faster than the einsum path on the pass-stacked shapes, through
     three mechanisms:
 
-    * the patch matrix is gathered by one ``np.take`` directly into
-      the ``(C·KH·KW, L·N)`` layout a single BLAS call consumes — no
-      batched einsum, no intermediate transpose copy, and the zero-pad
-      happens implicitly by writing the image interior into a
+    * the patch matrix is gathered by KH·KW strided-slice copies
+      directly into the ``(C·KH·KW, L·N)`` layout a single BLAS call
+      consumes (see :func:`_gather_padded_patches`) — no index plan,
+      no batched einsum, no intermediate transpose copy, and the
+      zero-pad happens implicitly by writing the image interior into a
       zero-bordered channel-first scratch buffer;
     * all large intermediates live in a per-thread scratch arena
       (see :data:`_conv_scratch`) reused across calls with the same
@@ -722,8 +740,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0,
     convolution).  Implemented as im2col + matmul, which is also
     exactly how the CIM crossbar mapping strategy ① of Fig. 1 unrolls
     kernels into crossbar columns — the deployed
-    :class:`repro.cim.CimConv2d` reuses the same im2col (and the same
-    memoized index plans).  Inference (``no_grad``) takes a faster
+    :class:`repro.cim.CimConv2d` reuses the same patch layout, through
+    the inference gather.  Inference (``no_grad``) takes a faster
     single-GEMM kernel with the same bit-level results — see
     :func:`_conv2d_infer`.
     """

@@ -12,8 +12,14 @@ modules, chunked or not.
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.bayesian import (
+    AffineDropout,
     BayesianCim,
+    BayesianScale,
+    ScaleDropout,
+    SpatialSpinDropout,
+    SpinDropout,
     make_affine_mlp,
     make_scaledrop_mlp,
     make_spatial_spindrop_cnn,
@@ -21,7 +27,7 @@ from repro.bayesian import (
     make_subset_vi_mlp,
     mc_predict_batched,
 )
-from repro.cim import CimConfig
+from repro.cim import CimConfig, DeploymentSnapshot
 from repro.devices import DeviceVariability, VariabilityParams
 
 RNG = np.random.default_rng(42)
@@ -172,3 +178,169 @@ class TestBatchedApiContracts:
         assert result.samples.shape == (4, 5, 3)
         np.testing.assert_allclose(result.probs.sum(axis=-1), 1.0,
                                    rtol=1e-9)
+
+
+def _mixed_model():
+    """Neuron, channel, scale and affine bindings in one deployment:
+    every bank draws from the engine's one generator."""
+    rng = np.random.default_rng(8)
+    return nn.Sequential(
+        nn.BinaryConv2d(1, 4, 3, padding=1, rng=rng, binarize_input=True),
+        nn.BatchNorm2d(4),
+        nn.SignActivation(),
+        SpatialSpinDropout(4, p=0.3, rng=rng),
+        nn.BinaryConv2d(4, 4, 3, padding=1, rng=rng),
+        nn.BatchNorm2d(4),
+        nn.SignActivation(),
+        nn.MaxPool2d(2),
+        nn.Flatten(),
+        SpinDropout(144, p=0.3, rng=rng),
+        nn.BinaryLinear(144, 16, scale=False, rng=rng),
+        ScaleDropout(16, n_parameters=144 * 16, rng=rng),
+        AffineDropout(16, p=0.3, rng=rng),
+        nn.SignActivation(),
+        nn.BinaryLinear(16, 4, rng=rng))
+
+
+def _vi_model():
+    """A VI scale ahead of a neuron-dropout bank."""
+    rng = np.random.default_rng(9)
+    return nn.Sequential(
+        nn.BinaryLinear(20, 16, scale=False, rng=rng, binarize_input=True),
+        BayesianScale(16, rng=rng),
+        nn.BatchNorm1d(16),
+        nn.SignActivation(),
+        SpinDropout(16, p=0.3, rng=rng),
+        nn.BinaryLinear(16, 4, rng=rng))
+
+
+def _resampled_banks(deployed, n_samples):
+    """What T sequential ``_resample`` calls install, stacked like
+    ``_draw_sample_banks`` returns them."""
+    passes = []
+    for _ in range(n_samples):
+        deployed._resample(1)
+        row = []
+        for binding in deployed.bindings:
+            target = binding.target
+            if binding.kind in ("neuron", "channel"):
+                row.append(np.array(target.mask))
+            elif binding.kind == "affine":
+                row.append((target.gamma_multiplier,
+                            target.beta_multiplier))
+            else:                                   # scale, vi
+                row.append(np.array(target.multiplier))
+        passes.append(row)
+    deployed._clear()
+    return [np.asarray([row[i] for row in passes], dtype=np.float64)
+            for i in range(len(deployed.bindings))]
+
+
+def _bank_counters(deployed):
+    return [(b.rng_bank.set_ops, b.rng_bank.read_ops, b.rng_bank.reset_ops)
+            for b in deployed.bindings if b.rng_bank is not None]
+
+
+class _CountingGenerator:
+    """Delegates to a generator and counts the draws made through it."""
+
+    def __init__(self, generator):
+        self._generator = generator
+        self.calls = 0
+
+    @property
+    def bit_generator(self):
+        return self._generator.bit_generator
+
+    def __getattr__(self, name):
+        attr = getattr(self._generator, name)
+
+        def draw(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+        return draw
+
+
+class TestOneDrawPerStream:
+    """``_draw_sample_banks`` against the sequential ``_resample``."""
+
+    def _assert_draws_match(self, batched, sequential, n_samples=7):
+        banks = batched._draw_sample_banks(n_samples)
+        expected = _resampled_banks(sequential, n_samples)
+        assert len(banks) == len(expected)
+        for bank, ref in zip(banks, expected):
+            assert bank.dtype == ref.dtype
+            np.testing.assert_array_equal(bank, ref)
+        assert _bank_counters(batched) == _bank_counters(sequential)
+
+    def test_all_bank_kinds_on_one_generator(self):
+        a = BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33)
+        b = BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33)
+        kinds = [binding.kind for binding in a.bindings]
+        assert kinds == ["channel", "neuron", "scale", "affine"]
+        assert len({id(binding.rng_bank.rng) for binding in a.bindings}) == 1
+        self._assert_draws_match(a, b)
+        # And end to end: samples and ledger totals.
+        a = BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33)
+        b = BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33)
+        seq = a.mc_forward(X_IMG, n_samples=6, batched=False)
+        bat = b.mc_forward(X_IMG, n_samples=6, batched=True)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert _bank_counters(a) == _bank_counters(b)
+
+    def test_rng_variability_and_calibration(self):
+        # Per-module probabilities that differ device to device, and a
+        # bank whose probabilities were re-trimmed after deployment.
+        def deploy():
+            engine = BayesianCim(
+                _mixed_model(), CimConfig(seed=6),
+                rng_variability=DeviceVariability(
+                    VariabilityParams(sigma_delta=0.08),
+                    rng=np.random.default_rng(88)),
+                seed=33)
+            engine.bindings[1].rng_bank.calibrate(n_samples=200)
+            return engine
+        self._assert_draws_match(deploy(), deploy())
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_vi_binding(self, shared):
+        # The VI layer samples its own generator; when it shares the
+        # banks' generator, that stream stays pass-major.
+        def deploy():
+            engine = BayesianCim(_vi_model(), CimConfig(seed=6), seed=33)
+            assert [b.kind for b in engine.bindings] == ["vi", "neuron"]
+            if shared:
+                engine.bindings[0].source.rng = engine._rng
+            return engine
+        self._assert_draws_match(deploy(), deploy())
+        a, b = deploy(), deploy()
+        seq = a.mc_forward(X_FLAT, n_samples=5, batched=False)
+        bat = b.mc_forward(X_FLAT, n_samples=5, batched=True)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+
+    def test_snapshot_restored_mid_stream(self):
+        engine = BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33)
+        engine.mc_forward_batched(X_IMG, n_samples=3)
+        engine._resample(1)                  # off a pass boundary
+        snapshot = DeploymentSnapshot.capture(engine)
+        self._assert_draws_match(snapshot.build(), snapshot.build())
+        a, b = snapshot.build(), snapshot.build()
+        seq = a.mc_forward(X_IMG, n_samples=4, batched=False)
+        bat = b.mc_forward(X_IMG, n_samples=4, batched=True)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert _bank_counters(a) == _bank_counters(b)
+
+    def test_one_draw_per_generator(self):
+        # T=20 passes of a two-bank SpinDrop MLP: one draw in all.
+        engine = BayesianCim(
+            make_spindrop_mlp(20, (16, 8), 4, p=0.3, seed=1),
+            CimConfig(seed=6), seed=33)
+        assert len(engine.bindings) == 2
+        spy = _CountingGenerator(engine._rng)
+        for binding in engine.bindings:
+            binding.rng_bank.rng = spy
+        engine.forward_batched(X_FLAT, n_samples=20)
+        assert spy.calls == 1

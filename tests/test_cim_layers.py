@@ -101,6 +101,24 @@ class TestCimLinear:
         x = _binary((4, 32))
         np.testing.assert_array_equal(fast.forward(x), slow.forward(x))
 
+    def test_negative_zero_drives_no_wordline(self):
+        # ``chunk * gate`` turns a masked -1 into -0.0, which must book
+        # as an idle wordline, as +0.0 does on the analog route.
+        w = _binary((8, 32))
+        mask = np.ones(32)
+        mask[::3] = 0.0
+        x = -np.ones((4, 32))
+        ledgers = []
+        for exact in (True, False):
+            ledger = OpLedger()
+            layer = CimLinear(w, None, None, _ideal_config(), ledger)
+            layer._exact_ok = exact
+            layer.input_mask = mask
+            layer.forward(x)
+            ledgers.append(ledger.as_dict())
+        assert ledgers[0]["dac_drive"] == 4 * int(mask.sum())
+        assert ledgers[0] == ledgers[1]
+
     def test_exact_route_disabled_by_nonideal_chain(self):
         from repro.devices.variability import (
             DeviceVariability,
@@ -195,6 +213,56 @@ class TestDigitalStages:
         out = frozen.forward(x)
         expected = x / np.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(out, expected, atol=1e-10)
+
+    @pytest.mark.parametrize("inverted", [False, True])
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_frozen_norm_matches_out_of_place_reference(self, inverted,
+                                                        affine):
+        # In-place arithmetic on its own output: the values of the
+        # out-of-place formula, per-row multiplier banks included, and
+        # the input (here a read-only broadcast view) never written.
+        mean, var = RNG.standard_normal(4), RNG.random(4) + 0.5
+        gamma = RNG.standard_normal(4) if affine else None
+        beta = RNG.standard_normal(4) if affine else None
+        frozen = FrozenNorm(mean, var, gamma, beta, 1e-5, spatial=True,
+                            inverted=inverted, ledger=OpLedger())
+        base = RNG.standard_normal((1, 4, 5, 5))
+        x = np.broadcast_to(base, (6, 4, 5, 5))
+        assert not x.flags.writeable
+        if affine:
+            frozen.gamma_multiplier = np.array([1.0, 0.0] * 3)
+            frozen.beta_multiplier = np.array([0.0, 1.0, 1.0] * 2)
+        before = x.copy()
+        out = frozen.forward(x)
+        np.testing.assert_array_equal(x, before)
+        shape = (1, -1, 1, 1)
+        std = frozen.std.reshape(shape)
+        ref = x
+        if affine:
+            gm = frozen.gamma_multiplier.reshape(-1, 1, 1, 1)
+            g = gamma.reshape(shape) * gm + (1.0 - gm)
+            b = beta.reshape(shape) * frozen.beta_multiplier.reshape(
+                -1, 1, 1, 1)
+        if inverted:
+            if affine:
+                ref = ref * g + b
+            ref = (ref - mean.reshape(shape)) / std
+        else:
+            ref = (ref - mean.reshape(shape)) / std
+            if affine:
+                ref = ref * g + b
+        np.testing.assert_array_equal(out, ref)
+
+    def test_digital_sign_matches_where(self):
+        from repro.cim import DigitalSign
+        x = np.array([[-2.0, -0.0, 0.0, 1e-300, -1e-300, 3.0,
+                       np.nan, np.inf, -np.inf]])
+        before = x.copy()
+        out = DigitalSign(OpLedger()).forward(x)
+        np.testing.assert_array_equal(out, np.where(x >= 0, 1.0, -1.0))
+        assert out.dtype == np.float64
+        assert not np.signbit(out[0, 1])            # -0.0 -> +1
+        np.testing.assert_array_equal(x, before)
 
     def test_dropout_gate_masks_and_passthrough(self):
         gate = DropoutGate(0.5, channelwise=False, ledger=OpLedger())

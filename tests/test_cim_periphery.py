@@ -8,6 +8,7 @@ from repro.cim import (
     ConvShape,
     MappingStrategy,
     OpLedger,
+    PopcountADC,
     SenseAmplifier,
     dropconnect_module_count,
     plan_conv_mapping,
@@ -55,6 +56,35 @@ class TestADC:
     def test_needs_positive_bits(self):
         with pytest.raises(ValueError):
             ADC(bits=0)
+
+
+class TestPopcountADC:
+    @pytest.mark.parametrize("rows", [9, 72, 128, 1000])
+    def test_float32_matches_float64_on_integers(self, rows):
+        # The exact route hands the ADC float32 integer partial sums;
+        # with an odd step they must quantize exactly as in float64.
+        values = np.arange(-rows - 2, rows + 3)
+        checked = 0
+        for bits in range(1, 9):
+            ledger = OpLedger()
+            adc = PopcountADC(bits, rows, ledger=ledger)
+            if adc.step % 2 == 0:
+                continue
+            single = adc.convert(values.astype(np.float32))
+            double = adc.convert(values.astype(np.float64))
+            assert single.dtype == np.float32
+            assert double.dtype == np.float64
+            np.testing.assert_array_equal(single.astype(np.float64), double)
+            assert ledger["adc_conversion"] == 2 * values.size
+            checked += 1
+        assert checked
+
+    def test_float32_input_is_not_written(self):
+        adc = PopcountADC(4, 72, ledger=OpLedger())
+        values = np.arange(-74, 75, dtype=np.float32)
+        before = values.copy()
+        adc.convert(values)
+        np.testing.assert_array_equal(values, before)
 
 
 class TestSenseAmplifier:

@@ -1,10 +1,10 @@
 """``conv2d`` groups/dilation vs a naive nested-loop reference.
 
 The grouped/dilated geometry feeds three consumers — the autograd
-training path, the ``no_grad`` inference kernel, and (through the
-same memoized index plans) the deployed :class:`repro.cim.CimConv2d`
-— so the equivalence here is what certifies all of them against one
-independent implementation.
+training path (through the memoized index plans), the ``no_grad``
+inference kernel and the deployed :class:`repro.cim.CimConv2d` (both
+through the strided-slice gather) — so the equivalence here is what
+certifies all of them against one independent implementation.
 """
 
 import numpy as np
@@ -192,16 +192,70 @@ class TestPlanCacheApi:
         assert set(stats) == {"plans", "hits", "builds", "evictions"}
 
     def test_dilation_is_part_of_the_plan_key(self):
+        # The training path gathers through index plans; the no_grad
+        # kernel gathers by strided slices and builds none.
         F.clear_conv_plan_cache()
         x = Tensor(RNG.standard_normal((1, 1, 9, 9)))
-        w = Tensor(RNG.standard_normal((1, 1, 3, 3)))
+        w = Tensor(RNG.standard_normal((1, 1, 3, 3)), requires_grad=True)
+        F.conv2d(x, w)
+        builds_plain = F.conv_plan_cache_stats()["builds"]
+        F.conv2d(x, w, dilation=2)
+        assert F.conv_plan_cache_stats()["builds"] > builds_plain
+        # Warm re-runs of both geometries build nothing new.
+        before = F.conv_plan_cache_stats()["builds"]
+        F.conv2d(x, w)
+        F.conv2d(x, w, dilation=2)
         with no_grad():
-            F.conv2d(x, w)
-            builds_plain = F.conv_plan_cache_stats()["builds"]
-            F.conv2d(x, w, dilation=2)
-            assert F.conv_plan_cache_stats()["builds"] > builds_plain
-            # Warm re-runs of both geometries build nothing new.
-            before = F.conv_plan_cache_stats()["builds"]
             F.conv2d(x, w)
             F.conv2d(x, w, dilation=2)
         assert F.conv_plan_cache_stats()["builds"] == before
+
+
+def _take_gather(x, kh, kw, stride, padding, dilation):
+    """The flat-index-plan ``np.take`` im2col gather: the reference
+    layout for the strided-slice gather."""
+    n, c, h0, w0 = x.shape
+    h, w = h0 + 2 * padding, w0 + 2 * padding
+    padded = np.zeros((c, h, w, n))
+    padded[:, padding:h - padding, padding:w - padding] = x.transpose(
+        1, 2, 3, 0)
+    flat_idx = F_mod._flat_gather_indices(h, w, kh, kw, stride, dilation)
+    return np.take(padded.reshape(c, h * w, n), flat_idx, axis=1)
+
+
+class TestStridedGather:
+    @pytest.mark.parametrize("kernel", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_slices_match_flat_plan_take(self, kernel, stride):
+        checked = 0
+        for padding in (0, 1, 2):
+            for dilation in (1, 2, 3):
+                span = (kernel - 1) * dilation + 1
+                if span > 9 + 2 * padding:
+                    with pytest.raises(ValueError):
+                        F_mod._gather_padded_patches(
+                            RNG.standard_normal((2, 3, 9, 11)), kernel,
+                            kernel, stride, padding, dilation,
+                            np.dtype(np.float64), tag="test")
+                    continue
+                # Twice per geometry: the second call reuses the
+                # scratch slab and pad buffer.
+                for _ in range(2):
+                    x = RNG.standard_normal((2, 3, 9, 11))
+                    slab, out_h, out_w = F_mod._gather_padded_patches(
+                        x, kernel, kernel, stride, padding, dilation,
+                        np.dtype(np.float64), tag="test")
+                    ref = _take_gather(x, kernel, kernel, stride, padding,
+                                       dilation)
+                    assert out_h == (9 + 2 * padding - span) // stride + 1
+                    assert out_w == (11 + 2 * padding - span) // stride + 1
+                    np.testing.assert_array_equal(slab, ref)
+                checked += 1
+        assert checked
+
+    def test_rectangular_kernel_and_float32(self):
+        x = np.sign(RNG.standard_normal((3, 2, 7, 10)))
+        slab, _, _ = F_mod._gather_padded_patches(
+            x, 2, 4, 2, 1, 2, np.dtype(np.float32), tag="test")
+        assert slab.dtype == np.float32
+        np.testing.assert_array_equal(slab, _take_gather(x, 2, 4, 2, 1, 2))

@@ -92,8 +92,9 @@ class TestClearDuringServing:
                 with no_grad():
                     out = F.conv2d(Tensor(x), Tensor(w), padding=1,
                                    dilation=2).data
-                ref = F.conv2d(Tensor(x), Tensor(w), padding=1,
-                               dilation=2).data
+                # The training path gathers through the shared plans.
+                ref = F.conv2d(Tensor(x), Tensor(w, requires_grad=True),
+                               padding=1, dilation=2).data
                 np.testing.assert_allclose(out, ref, atol=1e-8)
             except Exception as exc:       # pragma: no cover
                 errors.append(exc)

@@ -19,9 +19,11 @@ step runs it).
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ from repro.serving import (
     RemoteEngineError,
     WorkerDied,
 )
+from repro.serving import procpool
 from repro.serving.controlplane import QUARANTINED
 
 pytestmark = pytest.mark.procpool
@@ -97,6 +100,10 @@ FAMILIES = {
 
 def _exit_during_boot():
     os._exit(3)                     # the worker dies before its handshake
+
+
+def _hang_during_boot():
+    time.sleep(3600)                # the worker never sends its handshake
 
 
 def _save_snapshot(make_engine, path):
@@ -211,6 +218,22 @@ class TestTransport:
     def test_worker_death_during_boot_names_its_exit_code(self):
         with pytest.raises(WorkerDied, match="worker 0 .*exit code 3"):
             ProcReplicaPool.from_factory(_exit_during_boot, workers=1)
+
+    def test_hung_boot_times_out_and_cleans_up(self, monkeypatch):
+        def leftovers():
+            shm = (set(os.listdir("/dev/shm"))
+                   if os.path.isdir("/dev/shm") else set())
+            return {p.pid for p in multiprocessing.active_children()}, shm
+
+        children, segments = leftovers()
+        monkeypatch.setattr(procpool, "_BOOT_TIMEOUT_S", 1.0)
+        with pytest.raises(WorkerDied,
+                           match=r"worker 0 did not finish booting "
+                                 r"within 1 s"):
+            ProcReplicaPool.from_factory(_hang_during_boot, workers=1)
+        after_children, after_segments = leftovers()
+        assert after_children <= children
+        assert after_segments <= segments
 
 
 # ----------------------------------------------------------------------

@@ -220,6 +220,43 @@ class TestNormalizedSubmit:
             with pytest.raises(ResultTimeout):
                 ticket.result()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_never_queue(self, snapshot_path, bad):
+        x = X.copy()
+        x[2, 5] = bad
+        with serve(snapshot_path, backend="sync") as f:
+            queued = f.submit(X[:1])
+            with pytest.raises(ValueError, match="request row 2 .*"
+                                                 "non-finite"):
+                f.submit(x)
+            assert f.scheduler.pending_rows == 1
+            assert f.scheduler.stats.requests == 1
+            f.flush()
+            assert queued.result().samples.shape[1] == 1
+
+        async def run_async():
+            async with serve(snapshot_path, backend="async") as f:
+                queued = await f.submit(X[:1])
+                with pytest.raises(ValueError, match="request row 2 "):
+                    await f.submit(x)
+                assert f.scheduler.pending_rows == 1
+                assert f.scheduler.stats.requests == 1
+                await f.flush()
+                return (await queued.result()).samples
+        assert asyncio.run(run_async()).shape[1] == 1
+
+    def test_rejected_first_request_pins_no_feature_shape(self):
+        # The route's feature shape comes from its first *accepted*
+        # request: a rejected NaN request of another width leaves it
+        # free for the valid one that follows.
+        scheduler = BatchScheduler(_factory(), n_samples=2)
+        bad = np.full((2, 5), np.nan)
+        with pytest.raises(ValueError, match="request row 0 "):
+            scheduler.submit(bad)
+        ticket = scheduler.submit(X)
+        scheduler.flush()
+        assert ticket.result().samples.shape[1:] == (4, 3)
+
 
 # ----------------------------------------------------------------------
 # The error taxonomy lives in repro.serving.errors
