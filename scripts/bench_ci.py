@@ -167,9 +167,9 @@ CIM_CONV_SAMPLES = 10
 # memory-bound regime (a small batch of wordline drives against a
 # wide packed matrix, 64x less weight traffic).  The raw-kernel gate
 # times the widest shape; the layer gate runs a CimLinear on a single
-# 4096-row crossbar (ADC step 131, odd, so the exact-integer
-# precondition holds), which the route policy packs at batch 2,
-# against the same layer with the policy pinned to the float32 route.
+# ideal 4096-row crossbar (so the exact-integer route applies), which
+# the route policy packs at batch 2, against the same layer with the
+# policy pinned to the float32 route.
 BITPACK_MVM_SHAPE = (2, 4096, 4096)       # batch, K, n_cols
 BITPACK_LINEAR_SHAPE = (2, 4096, 2048)    # batch, in, out
 # Lifecycle slice: snapshot restore vs recompile is only worth gating
@@ -425,7 +425,7 @@ def _gate_bitpack(min_speedup):
     layer.ledger.reset()
     packed_out = layer.forward(x)           # also warms the packed cache
     packed_ledger = layer.ledger.as_dict()
-    if layer.crossbars[0][0]._w_packed_t is None:
+    if layer.grid.bars[0][0]._w_packed_t is None:
         print("FAIL: the route policy did not pack the CimLinear layer")
         return None
     if not np.array_equal(float_out, packed_out):

@@ -185,23 +185,35 @@ class BayesianCim:
     def _resample(self, batch: int) -> None:
         """Draw fresh hardware randomness for one forward pass."""
         for binding in self.bindings:
+            drawn = self._draw_pass(binding)
             if binding.kind in ("neuron", "channel"):
-                bits = binding.rng_bank.generate(binding.rng_bank.n_modules)
-                binding.target.mask = (bits < 0.5).astype(np.float64)
-            elif binding.kind == "scale":
-                bit = binding.rng_bank.generate(1)[0]
-                layer: ScaleDropout = binding.source
-                binding.target.multiplier = (
-                    layer.drop_scale if bit > 0.5 else 1.0)
+                binding.target.mask = drawn
             elif binding.kind == "affine":
-                bits = binding.rng_bank.generate(2)
-                binding.target.gamma_multiplier = 0.0 if bits[0] > 0.5 else 1.0
-                binding.target.beta_multiplier = 0.0 if bits[1] > 0.5 else 1.0
-            elif binding.kind == "vi":
-                layer: BayesianScale = binding.source
-                sample = layer.posterior_sample_np()
-                binding.target.multiplier = sample / np.where(
-                    layer.mu.data == 0, 1.0, layer.mu.data)
+                (binding.target.gamma_multiplier,
+                 binding.target.beta_multiplier) = drawn
+            else:  # scale, vi
+                binding.target.multiplier = drawn
+
+    @staticmethod
+    def _draw_pass(binding: _MaskBinding):
+        """One pass of a binding's randomness, as :meth:`_resample`
+        installs it: a keep-mask (neuron, channel), a scalar multiplier
+        (scale), a (gamma, beta) multiplier pair (affine) or a
+        per-feature multiplier vector (VI)."""
+        if binding.kind in ("neuron", "channel"):
+            bits = binding.rng_bank.generate(binding.rng_bank.n_modules)
+            return (bits < 0.5).astype(np.float64)
+        if binding.kind == "scale":
+            bit = binding.rng_bank.generate(1)[0]
+            layer: ScaleDropout = binding.source
+            return layer.drop_scale if bit > 0.5 else 1.0
+        if binding.kind == "affine":
+            bits = binding.rng_bank.generate(2)
+            return (0.0 if bits[0] > 0.5 else 1.0,
+                    0.0 if bits[1] > 0.5 else 1.0)
+        layer: BayesianScale = binding.source
+        sample = layer.posterior_sample_np()
+        return sample / np.where(layer.mu.data == 0, 1.0, layer.mu.data)
 
     def _clear(self) -> None:
         for binding in self.bindings:
@@ -280,30 +292,15 @@ class BayesianCim:
                 banks.append(np.where(cols, 0.0, 1.0))
         return banks
 
-    @staticmethod
-    def _draw_pass_major(group: List[_MaskBinding],
+    @classmethod
+    def _draw_pass_major(cls, group: List[_MaskBinding],
                          n_samples: int) -> List[np.ndarray]:
-        """T passes of a generator's bindings, one draw per binding and
-        pass, in sequential order."""
+        """T passes of a generator's bindings, one :meth:`_draw_pass`
+        per binding and pass, in sequential order."""
         draws: List[list] = [[] for _ in group]
         for _ in range(n_samples):
             for slot, binding in zip(draws, group):
-                if binding.kind in ("neuron", "channel"):
-                    bits = binding.rng_bank.generate(binding.rng_bank.n_modules)
-                    slot.append((bits < 0.5).astype(np.float64))
-                elif binding.kind == "scale":
-                    bit = binding.rng_bank.generate(1)[0]
-                    layer: ScaleDropout = binding.source
-                    slot.append(layer.drop_scale if bit > 0.5 else 1.0)
-                elif binding.kind == "affine":
-                    bits = binding.rng_bank.generate(2)
-                    slot.append((0.0 if bits[0] > 0.5 else 1.0,
-                                 0.0 if bits[1] > 0.5 else 1.0))
-                else:  # vi
-                    layer: BayesianScale = binding.source
-                    sample = layer.posterior_sample_np()
-                    slot.append(sample / np.where(
-                        layer.mu.data == 0, 1.0, layer.mu.data))
+                slot.append(cls._draw_pass(binding))
         return [np.asarray(slot, dtype=np.float64) for slot in draws]
 
     def _install_banks(self, banks: List[np.ndarray], t0: int, t1: int,

@@ -126,8 +126,7 @@ def mc_segment(model: nn.Module, images: np.ndarray,
                 probs = _softmax_np(
                     logits.transpose(0, 2, 3, 1).reshape(-1, c), axis=-1)
                 samples.append(probs)
-        stacked = np.stack(samples)
-        return PredictiveResult(probs=stacked.mean(axis=0), samples=stacked)
+        return PredictiveResult.from_samples(np.stack(samples))
     finally:
         _exit_mc_eval(model, state)
 

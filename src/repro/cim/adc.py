@@ -82,14 +82,17 @@ class PopcountADC(ADC):
     (float32 stays float32, anything else becomes float64) and
     divides, rounds and rescales it in place, with scalars of that
     dtype; in-place IEEE operations round exactly as out-of-place
-    ones.  Float32 partial sums come only from the exact-integer route
-    of :class:`~repro.cim.layers.CimConv2d`, whose layers have an odd
-    step: there every partial sum is an integer far below 2^24, no
-    quotient ``v / step`` lies on a rounding tie (``2v`` is even,
-    ``(2k + 1)·step`` is odd), and float32 rounding moves the quotient
-    by less than its distance ``1 / (2·step)`` from the nearest tie.
-    So the float32 result equals the float64 one exactly, at half the
-    memory traffic.
+    ones.  Float32 partial sums come from the exact-integer routes of
+    :class:`~repro.cim.layers.CrossbarGrid`, under both
+    :class:`~repro.cim.layers.CimLinear` and
+    :class:`~repro.cim.layers.CimConv2d`: every partial sum ``v`` is
+    an integer far below 2^24, exact in float32, and so is any integer
+    step.  A quotient ``v / step`` is either a tie ``k + 1/2``
+    (possible only for an even step), which float32 holds exactly, or
+    at least ``1 / (2·step)`` from one, further than float32 rounding
+    can move it.  ``rint`` then picks the same integer (ties to even)
+    in both dtypes, so the float32 result equals the float64 one
+    exactly, at half the memory traffic.
     """
 
     def __init__(self, bits: int, rows: int,

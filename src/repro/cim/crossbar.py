@@ -174,26 +174,26 @@ class XnorCrossbar:
         return self._w_packed_t
 
     def mvm_packed(self, planes: "bitpack.PackedPlanes",
-                   out: Optional[np.ndarray] = None,
-                   col_major: bool = False) -> np.ndarray:
+                   out: Optional[np.ndarray] = None) -> np.ndarray:
         """Exact-integer XNOR MVM on pre-packed wordline planes.
 
-        The bit-packed twin of :meth:`mvm_prepared` / :meth:`mvm_cols`:
-        ``planes`` holds the packed sign/active bitplanes of the drive
+        The bit-packed twin of :meth:`mvm_prepared`: ``planes`` holds
+        the packed sign/active bitplanes of a ``(B, n_rows)`` drive
         batch (see :func:`repro.tensor.bitpack.pack_ternary_rows`), and
-        the popcount kernel returns the decoded integer MAC directly —
-        valid only on an ideal array, where that integer is exactly
-        what the analog chain would decode (the same precondition as
-        the layers' exact-integer route).  Ledger bookings match the
-        analog entry points: one :meth:`book_mvm` of the summed
-        asserted-wordline count.
+        the popcount kernel returns the decoded ``(B, n_cols)`` integer
+        MAC directly, or writes it into ``out`` (a
+        :class:`~repro.cim.layers.CrossbarGrid` passes the transposed
+        view of its column-major partial sums).  Valid only on an ideal
+        array, where that integer is exactly what the analog chain
+        would decode (the precondition of the grid's exact-integer
+        routes).  Ledger bookings match the analog entry points: one
+        :meth:`book_mvm` of the summed asserted-wordline count.
         """
         if not self.is_ideal:
             raise RuntimeError(
                 "packed XNOR route requires an ideal array "
                 "(no variability, no wire resistance)")
-        mac = bitpack.packed_mvm(planes, self.packed_weights_t(),
-                                 out=out, col_major=col_major)
+        mac = bitpack.packed_mvm(planes, self.packed_weights_t(), out=out)
         self.book_mvm(int(planes.n_active.sum()))
         return mac
 
@@ -381,12 +381,9 @@ class XnorCrossbar:
                      n_active: np.ndarray) -> np.ndarray:
         """Analog MVM on pre-computed drive masks: (B, n_rows) → (B, n_cols).
 
+        The engine of :meth:`matvec`, the single-array reference:
         ``pos``/``neg`` are the already-gated {0, 1} wordline drive
         masks and ``n_active`` their per-sample row count ``(B, 1)``.
-        Layers that tile one logical matrix across several column
-        chunks share one (pos, neg) preparation across every crossbar
-        of a row chunk instead of re-deriving it per call — the same
-        current/decode math and ledger bookings as :meth:`matvec`.
         """
         return self._analog_mac(pos, neg, n_active, transposed=False)
 
@@ -394,12 +391,12 @@ class XnorCrossbar:
                  n_active: np.ndarray) -> np.ndarray:
         """Column-major analog MVM: (n_rows, B) drives → (n_cols, B) MAC.
 
-        The transposed twin of :meth:`mvm_prepared` for the CIM conv
-        layers, whose patch buffers are channel-first ``(rows, L·N)``
-        slabs gathered straight from the plan cache — consuming them
-        without a transpose copy keeps the warm path allocation-free.
-        ``n_active`` has shape ``(B,)``; physics, decode and ledger
-        bookings are identical.
+        The transposed twin of :meth:`mvm_prepared` and the analog
+        route of :class:`~repro.cim.layers.CrossbarGrid`, whose drives
+        are column-major: an im2col patch slab (channel-first
+        ``(rows, L·N)``) or a linear layer's transposed input batch,
+        consumed without a transpose copy.  ``n_active`` has shape
+        ``(B,)``; physics, decode and ledger bookings are identical.
         """
         return self._analog_mac(pos_t, neg_t, n_active[None, :],
                                 transposed=True)

@@ -18,22 +18,25 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.cim.adc import ADC, PopcountADC
+from repro.cim.adc import PopcountADC
 from repro.cim.crossbar import (
     XnorCrossbar,
     merge_leading_axes,
     split_leading_axes,
 )
 from repro.cim.ledger import OpLedger
-from repro.cim.mapping import ConvShape, MappingPlan, MappingStrategy, plan_conv_mapping
+from repro.cim.mapping import (
+    ConvShape,
+    MappingPlan,
+    MappingStrategy,
+    _chunk,
+    plan_conv_mapping,
+)
 from repro.devices.defects import DefectModel
 from repro.devices.mtj import MTJParams
 from repro.devices.variability import DeviceVariability
 from repro.tensor import bitpack
-from repro.tensor.functional import (
-    _conv_scratch_buffers,
-    _gather_padded_patches,
-)
+from repro.tensor.functional import _gather_padded_patches
 
 
 class CimConfig:
@@ -73,65 +76,55 @@ class CimLayer:
         return self.forward(x)
 
 
-class CimLinear(CimLayer):
-    """Binary linear layer on tiled XNOR crossbars.
+class CrossbarGrid:
+    """A ±1 ``(K, C)`` matrix tiled onto XNOR crossbars (Figs. 1–2).
 
-    The logical (in_features × out_features) weight matrix is tiled
-    onto physical arrays of at most (max_rows × max_cols); each row
-    tile's partial MAC is ADC-converted and accumulated digitally.
+    The matrix is cut into ``row_chunks`` × ``col_chunks`` tiles, one
+    :class:`XnorCrossbar` each (``bars[i][j]``, programmed in that
+    order, which fixes the order of the programming RNG draws).  Each
+    row chunk's partial MAC is read through its own
+    :class:`PopcountADC` (``adcs[i]``) and accumulated digitally.
+    ``program=False`` builds the arrays without programming them (no
+    RNG draws, no ``mtj_write``) so :meth:`load_state` can install
+    captured conductance state verbatim — the snapshot restore path.
 
-    ``input_mask`` (settable per pass) gates wordlines — the hardware
-    realization of neuron dropout from the preceding layer.
+    :meth:`mvm` picks one of three routes per row chunk and call:
 
-    When the analog chain is ideal and every row chunk's
-    :class:`PopcountADC` has an odd integer step, the layer takes the
-    same *exact-integer float32* route as :class:`CimConv2d`: an ideal
-    crossbar's decoded MAC is a small integer, float32 represents it
-    exactly, and an odd step means ``rint(mac / step)`` can never land
-    on a rounding tie — so the float32 GEMM is bit-identical to the
-    analog simulation (and books the same ledger entries).  Whether a
-    layer qualifies (``_exact_ok``) is fixed when it is built or
-    restored; layers that do not stay on the analog path.
+    * the *analog* reference (:meth:`XnorCrossbar.mvm_cols`): current
+      summation, IR drop, read noise and decode;
+    * when ``exact`` (every array ideal, see
+      :attr:`XnorCrossbar.is_ideal`), the *exact-integer* routes.  An
+      ideal array's decoded MAC is a small integer (|MAC| <= rows <<
+      2^24) that float32 represents exactly, and they book the same
+      ledger entries as the analog chain.
+      :func:`repro.tensor.bitpack.packed_route_beneficial` chooses
+      between the bit-packed XNOR kernel
+      (:meth:`XnorCrossbar.mvm_packed`, which wins only on a few rows
+      against a wide tile) and a float32 GEMM.  Both yield the same
+      integer partial sums, which :class:`PopcountADC` quantizes in
+      float32 with the float64 result.
 
-    Inside the exact route, each row chunk asks
-    :func:`repro.tensor.bitpack.packed_route_beneficial` whether the
-    bit-packed XNOR/popcount kernel beats the float32 GEMM for this
-    call's shape (packed wins only on small-batch × wide-matrix
-    MVMs).  Both produce bit-identical outputs and identical ledger
-    totals — the packed kernel computes the same integer MAC the
-    float route does, just 64 weights per word of traffic.
-
-    ``program=False`` builds the crossbar grid without programming it
-    (no RNG draws, no ``mtj_write`` bookings) so captured conductance
-    state can be installed verbatim — the snapshot restore path.
+    The analog chain decodes an ideal array's MAC with ~1e-13 of
+    float64 noise that depends on the GEMM's shape.  With an odd ADC
+    step ``rint(mac / step)`` never lands on a rounding tie, so that
+    noise never shows; with an even step an odd MAC ties exactly, and
+    the noise would decide the rounding differently for a pass run
+    alone and for passes stacked into one GEMM.  So an ideal array
+    takes the exact route whatever its step: ties round half to even
+    and the stacked engine matches the sequential one bit for bit.
     """
 
-    def __init__(self, binary_weights: np.ndarray,
-                 scale: Optional[np.ndarray],
-                 bias: Optional[np.ndarray],
-                 config: CimConfig, ledger: OpLedger,
-                 program: bool = True):
-        super().__init__(ledger)
-        weights = np.asarray(binary_weights, dtype=np.float64)  # (out, in)
+    def __init__(self, weights: np.ndarray, row_chunks, col_chunks,
+                 config: CimConfig, ledger: OpLedger, program: bool = True):
         if program and not np.all(np.isin(weights, (-1.0, 1.0))):
-            raise ValueError("CimLinear requires ±1 weights")
-        self.out_features, self.in_features = weights.shape
-        self.scale = None if scale is None else np.asarray(scale, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
-        self.config = config
-        self.input_mask: Optional[np.ndarray] = None
-        self.scale_multiplier: float | np.ndarray = 1.0
-
-        w = weights.T                                   # rows=in, cols=out
-        self.row_chunks = [(i, min(i + config.max_rows, self.in_features))
-                           for i in range(0, self.in_features, config.max_rows)]
-        self.col_chunks = [(j, min(j + config.max_cols, self.out_features))
-                           for j in range(0, self.out_features, config.max_cols)]
-        self.crossbars: List[List[XnorCrossbar]] = []
-        self.adcs: List[ADC] = []
-        for (r0, r1) in self.row_chunks:
-            row_bars = []
-            for (c0, c1) in self.col_chunks:
+            raise ValueError("crossbar grids store ±1 weights only")
+        self.row_chunks = list(row_chunks)
+        self.col_chunks = list(col_chunks)
+        self.bars: List[List[XnorCrossbar]] = []
+        self.adcs: List[PopcountADC] = []
+        for r0, r1 in self.row_chunks:
+            row = []
+            for c0, c1 in self.col_chunks:
                 bar = XnorCrossbar(
                     r1 - r0, c1 - c0,
                     mtj_params=config.mtj_params,
@@ -140,19 +133,139 @@ class CimLinear(CimLayer):
                     wire_resistance=config.wire_resistance,
                     rng=config.rng, ledger=ledger)
                 if program:
-                    bar.program(w[r0:r1, c0:c1])
-                row_bars.append(bar)
-            self.crossbars.append(row_bars)
+                    bar.program(weights[r0:r1, c0:c1])
+                row.append(bar)
+            self.bars.append(row)
             self.adcs.append(PopcountADC(config.adc_bits, r1 - r0,
                                          ledger=ledger))
+        self.exact = all(bar.is_ideal for row in self.bars for bar in row)
 
-        self._exact_ok = (
-            all(bar.is_ideal for row in self.crossbars for bar in row)
-            and all(adc.step % 2 == 1 for adc in self.adcs))
+    @property
+    def dtype(self) -> np.dtype:
+        """The drive dtype :meth:`mvm` expects: float32 on the exact
+        routes, float64 on the analog one."""
+        return np.dtype(np.float32 if self.exact else np.float64)
+
+    def mvm(self, drive: np.ndarray, out: np.ndarray) -> None:
+        """Add the ADC-read MAC of a ``(K, B)`` drive to ``out`` ``(C, B)``.
+
+        ``drive`` is column-major {−1, 0, +1} of dtype :attr:`dtype`
+        holding no −0.0 (``np.sign`` maps −0.0 to +0.0); a zero leaves
+        its wordline pair undriven, which is how dropout reaches the
+        array.  The float32 route counts asserted wordlines on the
+        ``int32`` view of the drive, whose bits are all zero only for
+        +0.0.
+        """
+        n_cols, batch = out.shape
+        partial = np.empty((n_cols, batch), dtype=drive.dtype)
+        for (r0, r1), bars, adc in zip(self.row_chunks, self.bars,
+                                       self.adcs):
+            chunk = drive[r0:r1]
+            if not self.exact:
+                pos = (chunk > 0).astype(np.float64)
+                neg = (chunk < 0).astype(np.float64)
+                n_active = (pos + neg).sum(axis=0)
+                for bar, (c0, c1) in zip(bars, self.col_chunks):
+                    partial[c0:c1] = bar.mvm_cols(pos, neg, n_active)
+            elif bitpack.packed_route_beneficial(batch, r1 - r0, n_cols):
+                # The policy only packs a few rows: pack them row-major.
+                planes = bitpack.pack_ternary_rows(chunk.T)
+                for bar, (c0, c1) in zip(bars, self.col_chunks):
+                    bar.mvm_packed(planes, out=partial[c0:c1].T)
+            else:
+                total_active = int(np.count_nonzero(chunk.view(np.int32)))
+                for bar, (c0, c1) in zip(bars, self.col_chunks):
+                    np.matmul(bar.signed_weights_t(), chunk,
+                              out=partial[c0:c1])
+                    bar.book_mvm(total_active)
+            out += adc.convert(partial)
+
+    def state_dict(self, first: int) -> dict:
+        """Every array's state as ``xb{f}_{j}_{key}``, ``f`` counting
+        row chunks from ``first``."""
+        return {f"xb{f}_{j}_{key}": value
+                for f, row in enumerate(self.bars, first)
+                for j, bar in enumerate(row)
+                for key, value in bar.state_dict().items()}
+
+    def load_state(self, arrays, first: int) -> None:
+        """Install state saved by :meth:`state_dict` (no programming)."""
+        for f, row in enumerate(self.bars, first):
+            for j, bar in enumerate(row):
+                key = f"xb{f}_{j}_"
+                bar.load_state({
+                    "weights": arrays[key + "weights"],
+                    "g_direct": arrays[key + "g_direct"],
+                    "g_complement": arrays[key + "g_complement"],
+                    "w_packed_t": arrays.get(key + "w_packed_t"),
+                })
+
+
+class _GridLayer(CimLayer):
+    """What :class:`CimLinear` and :class:`CimConv2d` share: crossbar
+    grids (``grids``), the digital scale/bias epilogue and the snapshot
+    layout.  The grids of one layer share one plan, so row chunk ``i``
+    of grid ``g`` is saved as ``xb{g·n_row_chunks + i}_…``."""
+
+    grids: List[CrossbarGrid]
+
+    def __init__(self, scale: Optional[np.ndarray],
+                 bias: Optional[np.ndarray], ledger: OpLedger):
+        super().__init__(ledger)
+        self.scale = None if scale is None else np.asarray(scale, dtype=np.float64)
+        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
 
     @property
     def n_crossbars(self) -> int:
-        return len(self.row_chunks) * len(self.col_chunks)
+        return sum(len(row) for grid in self.grids for row in grid.bars)
+
+    def _state_arrays(self) -> dict:
+        arrays = {}
+        if self.scale is not None:
+            arrays["scale"] = self.scale
+        if self.bias is not None:
+            arrays["bias"] = self.bias
+        for g, grid in enumerate(self.grids):
+            arrays.update(grid.state_dict(g * len(grid.bars)))
+        return arrays
+
+    def _load_grids(self, arrays) -> None:
+        for g, grid in enumerate(self.grids):
+            grid.load_state(arrays, g * len(grid.bars))
+
+    def _scale_bias(self, out: np.ndarray) -> None:
+        """The digital epilogue, in place on the ``(C, B)`` accumulator."""
+        if self.scale is not None:
+            out *= self.scale[:, None]
+            self.ledger.add("digital_mac", out.size)
+        if self.bias is not None:
+            out += self.bias[:, None]
+            self.ledger.add("digital_op", out.size)
+
+
+class CimLinear(_GridLayer):
+    """Binary linear layer: one :class:`CrossbarGrid` and the scale/bias
+    epilogue.
+
+    The logical (in_features × out_features) weight matrix is tiled
+    onto physical arrays of at most (max_rows × max_cols); the grid
+    picks the crossbar route.  A zero input (a neuron dropped
+    upstream) leaves its wordline undriven.
+    """
+
+    def __init__(self, binary_weights: np.ndarray,
+                 scale: Optional[np.ndarray],
+                 bias: Optional[np.ndarray],
+                 config: CimConfig, ledger: OpLedger,
+                 program: bool = True):
+        super().__init__(scale, bias, ledger)
+        weights = np.asarray(binary_weights, dtype=np.float64)  # (out, in)
+        self.out_features, self.in_features = weights.shape
+        self.grid = CrossbarGrid(
+            weights.T, _chunk(self.in_features, config.max_rows),
+            _chunk(self.out_features, config.max_cols), config, ledger,
+            program)
+        self.grids = [self.grid]
 
     # ------------------------------------------------------------------
     def state_dict(self):
@@ -162,16 +275,7 @@ class CimLinear(CimLayer):
             "out_features": self.out_features,
             "in_features": self.in_features,
         }
-        arrays = {}
-        if self.scale is not None:
-            arrays["scale"] = self.scale
-        if self.bias is not None:
-            arrays["bias"] = self.bias
-        for i, row in enumerate(self.crossbars):
-            for j, bar in enumerate(row):
-                for key, value in bar.state_dict().items():
-                    arrays[f"xb{i}_{j}_{key}"] = value
-        return meta, arrays
+        return meta, self._state_arrays()
 
     @classmethod
     def from_state(cls, meta, arrays, config: CimConfig,
@@ -181,99 +285,39 @@ class CimLinear(CimLayer):
         weights = np.empty((meta["out_features"], meta["in_features"]))
         self = cls(weights, arrays.get("scale"), arrays.get("bias"),
                    config, ledger, program=False)
-        for i, row in enumerate(self.crossbars):
-            for j, bar in enumerate(row):
-                bar.load_state({
-                    "weights": arrays[f"xb{i}_{j}_weights"],
-                    "g_direct": arrays[f"xb{i}_{j}_g_direct"],
-                    "g_complement": arrays[f"xb{i}_{j}_g_complement"],
-                    "w_packed_t": arrays.get(f"xb{i}_{j}_w_packed_t"),
-                })
+        self._load_grids(arrays)
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         lead, x = split_leading_axes(x, 1)   # e.g. (T, N, F) sample axis
-        bits = np.sign(x)     # binarize; exact zeros stay gated (dropout)
-        out = np.zeros((x.shape[0], self.out_features))
-        partial = np.zeros_like(out)
-        for i, (r0, r1) in enumerate(self.row_chunks):
-            # Drive masks are shared by every column tile of the row
-            # chunk — prepared once instead of per crossbar.
-            chunk = bits[:, r0:r1]
-            if self.input_mask is not None:
-                gate = (np.asarray(self.input_mask,
-                                   dtype=np.float64)[r0:r1] > 0
-                        ).astype(np.float64)
-                chunk = chunk * gate
-            if not self._exact_ok:
-                pos = (chunk > 0).astype(np.float64)
-                neg = (chunk < 0).astype(np.float64)
-                n_active = (pos + neg).sum(axis=1, keepdims=True)
-                for j, (c0, c1) in enumerate(self.col_chunks):
-                    partial[:, c0:c1] = self.crossbars[i][j].mvm_prepared(
-                        pos, neg, n_active)
-            elif bitpack.packed_route_beneficial(
-                    chunk.shape[0], r1 - r0, self.out_features):
-                planes = bitpack.pack_ternary_rows(chunk)
-                for j, (c0, c1) in enumerate(self.col_chunks):
-                    self.crossbars[i][j].mvm_packed(
-                        planes, out=partial[:, c0:c1])
-            else:
-                chunk32 = chunk.astype(np.float32)
-                total_active = int(np.count_nonzero(chunk32))
-                for j, (c0, c1) in enumerate(self.col_chunks):
-                    bar = self.crossbars[i][j]
-                    partial[:, c0:c1] = chunk32 @ bar.signed_weights_t().T
-                    bar.book_mvm(total_active)
-            out += self.adcs[i].convert(partial)
-        if self.scale is not None:
-            out = out * (self.scale * self.scale_multiplier)
-            self.ledger.add("digital_mac", out.size)
-        elif not np.isscalar(self.scale_multiplier) or self.scale_multiplier != 1.0:
-            out = out * self.scale_multiplier
-            self.ledger.add("digital_mac", out.size)
-        if self.bias is not None:
-            out = out + self.bias
-            self.ledger.add("digital_op", out.size)
-        return merge_leading_axes(lead, out)
+        # Binarize before the cast: a denormal that underflows to 0.0
+        # in float32 must still drive its wordline.
+        drive = np.sign(x).astype(self.grid.dtype, copy=False).T
+        out = np.zeros((self.out_features, x.shape[0]))
+        self.grid.mvm(drive, out)
+        self._scale_bias(out)
+        # A contiguous copy: a transposed view would change the
+        # reduction order of the stages downstream (the softmax).
+        return merge_leading_axes(lead, np.ascontiguousarray(out.T))
 
 
-class CimConv2d(CimLayer):
+class CimConv2d(_GridLayer):
     """Binary convolution on crossbars under a Fig.-1 mapping plan.
 
-    Uses im2col so the analog MAC is the same XNOR popcount as
-    :class:`CimLinear`; the mapping plan controls row chunking (and
-    therefore partial-sum count, ADC conversions, and where the
-    spatial-dropout modules sit).  ``groups`` replicates the plan's
-    crossbar grid per independent channel group, ``dilation`` only
-    changes the im2col geometry feeding the wordlines.
+    The im2col gather, one :class:`CrossbarGrid` per channel group and
+    the scale/bias epilogue.  Im2col makes the analog MAC the same
+    XNOR popcount as :class:`CimLinear`; the mapping plan sets each
+    grid's row chunking (and therefore the partial-sum count, ADC
+    conversions, and where the spatial-dropout modules sit).
+    ``dilation`` only changes the im2col geometry feeding the
+    wordlines, and a dropped (zeroed) input feature map leaves its
+    whole wordline group undriven.
 
-    The im2col gather copies strided slices into the per-thread
-    scratch arenas of :mod:`repro.tensor.functional`, so a warm engine
-    (batched MC, serving flushes) reuses its patch slab and builds no
-    index plan.  When the analog chain is
-    ideal (see :attr:`XnorCrossbar.is_ideal`) and every row chunk's
-    :class:`PopcountADC` has an odd integer step, the layer takes an
-    *exact-integer float32* route: the decoded MAC of an ideal XNOR
-    crossbar is a small integer (|MAC| <= rows << 2^24), float32
-    represents it exactly, and with an odd step the ADC's
-    ``rint(mac / step)`` can never land on a rounding tie — so the
-    route is bit-identical to the analog simulation, whose only
-    deviation from the integer is ~1e-13 of float64 decode noise.
-    (An even step *can* tie exactly at odd MACs, where that noise
-    would decide the rounding — such layers stay on the analog path.)
-    The route hands the ADC its float32 partial sums, which
-    :class:`PopcountADC` quantizes in float32 with the same result.
-    Within the exact route the bit-packed XNOR kernel is picked per
-    row chunk and call by
-    :func:`repro.tensor.bitpack.packed_route_beneficial`, as in
-    :class:`CimLinear`; it packs the im2col patch slab column-major
-    and yields the same integer partial sums bit for bit.
-
-    ``channel_mask`` (settable per pass, shape (C_in,)) gates all
-    wordline groups / sub-crossbars belonging to an input feature map —
-    the MC-SpatialDropout hardware mechanism.
+    The gather copies strided slices into the per-thread scratch
+    arenas of :mod:`repro.tensor.functional`, in the dtype of the
+    grids' route, so a warm engine (batched MC, serving flushes)
+    reuses its patch slab and builds no index plan.
     """
 
     def __init__(self, binary_weights: np.ndarray,
@@ -283,10 +327,8 @@ class CimConv2d(CimLayer):
                  config: CimConfig, ledger: OpLedger,
                  dilation: int = 1, groups: int = 1,
                  program: bool = True):
-        super().__init__(ledger)
+        super().__init__(scale, bias, ledger)
         weights = np.asarray(binary_weights, dtype=np.float64)
-        if program and not np.all(np.isin(weights, (-1.0, 1.0))):
-            raise ValueError("CimConv2d requires ±1 weights")
         self.c_out, c_in_pg, self.kh, self.kw = weights.shape
         if self.kh != self.kw:
             raise ValueError("only square kernels supported")
@@ -296,51 +338,20 @@ class CimConv2d(CimLayer):
             raise ValueError(f"out_channels {self.c_out} not divisible "
                              f"by groups {groups}")
         self.c_in = c_in_pg * groups
-        self.scale = None if scale is None else np.asarray(scale, dtype=np.float64)
-        self.bias = None if bias is None else np.asarray(bias, dtype=np.float64)
         self.stride = stride
         self.padding = padding
         self.dilation = dilation
         self.groups = groups
-        self.config = config
-        self.channel_mask: Optional[np.ndarray] = None
-        self.scale_multiplier: float | np.ndarray = 1.0
 
         self.plan: MappingPlan = plan_conv_mapping(
             ConvShape(self.c_in, self.c_out, self.kh, groups=groups),
             config.mapping_strategy,
             max_rows=config.max_rows, max_cols=config.max_cols)
-
-        # One crossbar grid per group; the flat lists interleave
-        # group-major so ``crossbars[g * n_row_chunks + i][j]`` is row
-        # chunk i, column chunk j of group g (groups == 1 keeps the
-        # historical [i][j] layout).
-        w_groups = weights.reshape(
-            groups, self.c_out // groups, -1)           # (G, Cout/g, K2*Cin/g)
-        self.crossbars: List[List[XnorCrossbar]] = []
-        self.adcs: List[ADC] = []
-        for g in range(groups):
-            w = w_groups[g].T                           # (K2*Cin/g, Cout/g)
-            for (r0, r1) in self.plan.row_chunks:
-                row_bars = []
-                for (c0, c1) in self.plan.col_chunks:
-                    bar = XnorCrossbar(
-                        r1 - r0, c1 - c0,
-                        mtj_params=config.mtj_params,
-                        variability=config.variability,
-                        defects=config.defects,
-                        wire_resistance=config.wire_resistance,
-                        rng=config.rng, ledger=ledger)
-                    if program:
-                        bar.program(w[r0:r1, c0:c1])
-                    row_bars.append(bar)
-                self.crossbars.append(row_bars)
-                self.adcs.append(PopcountADC(config.adc_bits, r1 - r0,
-                                             ledger=ledger))
-
-        self._exact_ok = (
-            all(bar.is_ideal for row in self.crossbars for bar in row)
-            and all(adc.step % 2 == 1 for adc in self.adcs))
+        # Grid g holds group g's unfolded (K²·C_in/g, C_out/g) matrix.
+        self.grids = [
+            CrossbarGrid(w.T, self.plan.row_chunks, self.plan.col_chunks,
+                         config, ledger, program)
+            for w in weights.reshape(groups, self.c_out // groups, -1)]
 
     # ------------------------------------------------------------------
     def state_dict(self):
@@ -355,16 +366,7 @@ class CimConv2d(CimLayer):
             "dilation": self.dilation,
             "groups": self.groups,
         }
-        arrays = {}
-        if self.scale is not None:
-            arrays["scale"] = self.scale
-        if self.bias is not None:
-            arrays["bias"] = self.bias
-        for f, row in enumerate(self.crossbars):
-            for j, bar in enumerate(row):
-                for key, value in bar.state_dict().items():
-                    arrays[f"xb{f}_{j}_{key}"] = value
-        return meta, arrays
+        return meta, self._state_arrays()
 
     @classmethod
     def from_state(cls, meta, arrays, config: CimConfig,
@@ -377,88 +379,32 @@ class CimConv2d(CimLayer):
                    meta["stride"], meta["padding"], config, ledger,
                    dilation=meta["dilation"], groups=groups,
                    program=False)
-        for f, row in enumerate(self.crossbars):
-            for j, bar in enumerate(row):
-                bar.load_state({
-                    "weights": arrays[f"xb{f}_{j}_weights"],
-                    "g_direct": arrays[f"xb{f}_{j}_g_direct"],
-                    "g_complement": arrays[f"xb{f}_{j}_g_complement"],
-                    "w_packed_t": arrays.get(f"xb{f}_{j}_w_packed_t"),
-                })
+        self._load_grids(arrays)
         return self
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
         lead, x = split_leading_axes(x, 3)   # (T, N, C, H, W) sample axis
         n = x.shape[0]
-        kh = self.kh
-        k2 = kh * kh
-        dtype = np.dtype(np.float32 if self._exact_ok else np.float64)
-
         # Binarize in float64 (a denormal that underflows to 0.0 in
-        # float32 must still drive its wordline) before the arena
-        # gather casts to the route dtype; zeros (dropped maps) stay
-        # gated.
+        # float32 must still drive its wordline) before the gather
+        # casts to the route dtype, which one layer's grids share.
         gather_buf, out_h, out_w = _gather_padded_patches(
-            np.sign(x), kh, kh, self.stride, self.padding, self.dilation,
-            dtype, tag="cim_conv")
+            np.sign(x), self.kh, self.kh, self.stride, self.padding,
+            self.dilation, self.grids[0].dtype, tag="cim_conv")
         length = out_h * out_w
-        ln = length * n
-        if self.channel_mask is not None:
-            # A dropped input feature map's wordline group never fires:
-            # zero its whole patch slab once, instead of re-deriving a
-            # per-chunk row mask (im2col rows are channel-major).
-            keep = np.asarray(self.channel_mask, dtype=np.float64) > 0
-            if not keep.all():
-                gather_buf[~keep] = 0.0
-        patches = gather_buf.reshape(self.c_in * k2, ln)
-
-        out = np.zeros((self.c_out, ln))
-        n_rc = len(self.plan.row_chunks)
-        cog = self.c_out // self.groups
-        rows_pg = (self.c_in // self.groups) * k2
-        (partial,) = _conv_scratch_buffers(
-            ("cim_conv_partial", cog, ln, dtype.str),
-            lambda: (np.empty((cog, ln), dtype=dtype),))
-        for g in range(self.groups):
-            out_g = out[g * cog:(g + 1) * cog]
-            for i, (r0, r1) in enumerate(self.plan.row_chunks):
-                chunk = patches[g * rows_pg + r0:g * rows_pg + r1]
-                bars = self.crossbars[g * n_rc + i]
-                if not self._exact_ok:
-                    pos_t = (chunk > 0).astype(np.float64)
-                    neg_t = (chunk < 0).astype(np.float64)
-                    n_active = (pos_t + neg_t).sum(axis=0)
-                    for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                        partial[c0:c1] = bars[j].mvm_cols(pos_t, neg_t,
-                                                          n_active)
-                elif bitpack.packed_route_beneficial(ln, r1 - r0, cog):
-                    planes = bitpack.pack_ternary_cols(chunk)
-                    for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                        bars[j].mvm_packed(planes, out=partial[c0:c1],
-                                           col_major=True)
-                else:
-                    # Counting the int32 view is exact: the slab holds
-                    # only +0.0 zeros (np.sign maps -0.0 to +0.0, and
-                    # the pad border and channel mask write +0.0), and
-                    # a float's bits are all zero only for +0.0.
-                    total_active = int(np.count_nonzero(chunk.view(np.int32)))
-                    for j, (c0, c1) in enumerate(self.plan.col_chunks):
-                        np.matmul(bars[j].signed_weights_t(), chunk,
-                                  out=partial[c0:c1])
-                        bars[j].book_mvm(total_active)
-                out_g += self.adcs[g * n_rc + i].convert(partial)
-
-        out = out.reshape(self.c_out, length, n)
-        if self.scale is not None:
-            out *= (self.scale * np.asarray(self.scale_multiplier)
-                    ).reshape(-1, 1, 1)
-            self.ledger.add("digital_mac", out.size)
-        if self.bias is not None:
-            out += self.bias.reshape(-1, 1, 1)
-            self.ledger.add("digital_op", out.size)
-        out = np.ascontiguousarray(out.transpose(2, 0, 1)).reshape(
-            n, self.c_out, out_h, out_w)
+        # im2col rows are channel-major, so each group's wordlines are
+        # one contiguous block of the (C_in·K², L·N) patch slab.
+        patches = gather_buf.reshape(
+            self.groups, self.c_in // self.groups * self.kh ** 2, length * n)
+        out = np.zeros((self.groups, self.c_out // self.groups, length * n))
+        for grid, drive, out_g in zip(self.grids, patches, out):
+            grid.mvm(drive, out_g)
+        out = out.reshape(self.c_out, length * n)
+        self._scale_bias(out)
+        out = np.ascontiguousarray(
+            out.reshape(self.c_out, length, n).transpose(2, 0, 1)
+        ).reshape(n, self.c_out, out_h, out_w)
         return merge_leading_axes(lead, out)
 
 
@@ -746,8 +692,8 @@ class CimNetwork:
     """A deployed network: an ordered list of CIM stages + one ledger.
 
     The Bayesian wrappers drive stochastic behaviour by setting stage
-    attributes (``input_mask``, ``channel_mask``, ``scale_multiplier``,
-    ``gamma_multiplier``) between forward passes.
+    attributes (:attr:`DropoutGate.mask`, :attr:`DigitalScale.multiplier`
+    and the :class:`FrozenNorm` multipliers) between forward passes.
     """
 
     def __init__(self, stages: Sequence[CimLayer], ledger: OpLedger,
@@ -770,10 +716,4 @@ class CimNetwork:
 
     @property
     def n_crossbars(self) -> int:
-        total = 0
-        for stage in self.stages:
-            if isinstance(stage, CimLinear):
-                total += stage.n_crossbars
-            elif isinstance(stage, CimConv2d):
-                total += stage.plan.n_crossbars
-        return total
+        return sum(stage.n_crossbars for stage in self.mvm_layers())

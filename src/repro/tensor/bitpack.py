@@ -33,8 +33,9 @@ moves 64× less weight traffic but has no register blocking, so it
 *loses* on compute-bound shapes (large batch) and wins 4–13× on
 memory-bound GEMV shapes — a small batch of rows against a wide
 packed matrix, exactly the latency-path serving slice.
-:func:`packed_route_beneficial` encodes that boundary; the CIM layers
-consult it on every exact-integer MVM.
+:func:`packed_route_beneficial` encodes that boundary; a crossbar grid
+(:class:`repro.cim.layers.CrossbarGrid`) consults it on every
+exact-integer MVM.
 """
 
 from __future__ import annotations
@@ -211,16 +212,6 @@ def pack_ternary_rows(x: np.ndarray) -> PackedPlanes:
                         n_active, x.shape[-1])
 
 
-def pack_ternary_cols(x: np.ndarray) -> PackedPlanes:
-    """Pack a column-major ``(K, B)`` {−1, 0, +1} slab into planes —
-    the conv layers' im2col patch layout, packed without a transpose
-    copy of the float source."""
-    x = np.asarray(x)
-    return PackedPlanes(_pack_axis0(x > 0), _pack_axis0(x != 0),
-                        np.count_nonzero(x, axis=0).astype(np.int64),
-                        x.shape[0])
-
-
 def pack_weights(weights: np.ndarray) -> PackedWeights:
     """Pack a ``(K, n_cols)`` ±1 weight matrix (rows=inputs)."""
     w = np.asarray(weights)
@@ -244,8 +235,7 @@ def unpack_weights(packed: PackedWeights) -> np.ndarray:
 # The kernel.
 
 def packed_mvm(planes: PackedPlanes, weights: PackedWeights,
-               out: Optional[np.ndarray] = None,
-               col_major: bool = False) -> np.ndarray:
+               out: Optional[np.ndarray] = None) -> np.ndarray:
     """XNOR-popcount MVM on packed planes: exact ±1 dot products.
 
     ``dot[b, c] = n_active[b] − 2·popcount((sign_x ^ sign_w) &
@@ -256,33 +246,26 @@ def packed_mvm(planes: PackedPlanes, weights: PackedWeights,
     Word loop over word-major operands: each iteration broadcasts one
     ``(B,)`` activation word row against one ``(C,)`` weight word row
     into a reused ``(B, C)`` buffer, popcounts it, and accumulates in
-    uint16 (uint32 past K = 65535).  Returns int64 dots, ``(B, C)``
-    row-major or ``(C, B)`` with ``col_major=True`` (the conv layers'
-    partial-sum layout); ``out`` assigns into an existing buffer of
-    that shape instead (any float/int dtype that holds |dot| <= K
-    exactly — the CIM layers pass their float32 partial-sum arenas).
+    uint16 (uint32 past K = 65535).  Returns ``(B, C)`` int64 dots;
+    ``out`` assigns into an existing ``(B, C)`` array instead, of any
+    layout and any float/int dtype that holds |dot| <= K exactly (a
+    crossbar grid passes the transposed view of its column-major
+    float32 partial sums).
     """
     if planes.k != weights.k:
         raise ValueError(
             f"packed operand depth mismatch: {planes.k} != {weights.k}")
     xs, xa, ws = planes.sign_t, planes.active_t, weights.sign_t
-    b, c = planes.batch, weights.n_cols
-    shape = (c, b) if col_major else (b, c)
+    shape = (planes.batch, weights.n_cols)
     acc = np.zeros(shape, np.uint32 if planes.k > 0xFFFF else np.uint16)
     tmp = np.empty(shape, np.uint64)
     cnt = np.empty(shape, np.uint8)
     for wd in range(planes.n_words):
-        if col_major:
-            np.bitwise_xor(ws[wd][:, None], xs[wd][None, :], out=tmp)
-            np.bitwise_and(tmp, xa[wd][None, :], out=tmp)
-        else:
-            np.bitwise_xor(xs[wd][:, None], ws[wd][None, :], out=tmp)
-            np.bitwise_and(tmp, xa[wd][:, None], out=tmp)
+        np.bitwise_xor(xs[wd][:, None], ws[wd][None, :], out=tmp)
+        np.bitwise_and(tmp, xa[wd][:, None], out=tmp)
         popcount_into(tmp, cnt)
         acc += cnt
-    n_active = planes.n_active[None, :] if col_major \
-        else planes.n_active[:, None]
-    dots = n_active - 2 * acc.astype(np.int64)
+    dots = planes.n_active[:, None] - 2 * acc.astype(np.int64)
     if out is None:
         return dots
     out[...] = dots
@@ -290,7 +273,7 @@ def packed_mvm(planes: PackedPlanes, weights: PackedWeights,
 
 
 def packed_route_beneficial(batch: int, k: int, n_cols: int) -> bool:
-    """Route policy of the CIM layers' exact-integer route.
+    """Route policy of a crossbar grid's exact-integer route.
 
     Called per row chunk and call: True picks the packed kernel, False
     the float32 GEMM.  The packed kernel wins only in the memory-bound

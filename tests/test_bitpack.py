@@ -46,8 +46,10 @@ class TestPacking:
 
     @pytest.mark.parametrize("k", K_SET)
     def test_cols_roundtrip(self, k):
+        """A column-major (K, B) slab packs through its transposed
+        view, as a crossbar grid packs its drive."""
         x = _ternary(np.random.default_rng(k + 1), (k, 5))
-        planes = bp.pack_ternary_cols(x)
+        planes = bp.pack_ternary_rows(x.T)
         np.testing.assert_array_equal(bp.unpack_ternary(planes), x.T)
 
     @pytest.mark.parametrize("k", K_SET)
@@ -59,10 +61,11 @@ class TestPacking:
         np.testing.assert_array_equal(bp.unpack_weights(packed), w)
 
     def test_row_and_col_packing_agree(self):
-        """Both layouts produce the same word-major planes."""
+        """A row-major batch and the transposed view of a column-major
+        slab produce the same word-major planes."""
         x = _ternary(np.random.default_rng(3), (6, 130))
         rows = bp.pack_ternary_rows(x)
-        cols = bp.pack_ternary_cols(x.T)
+        cols = bp.pack_ternary_rows(np.ascontiguousarray(x.T).T)
         np.testing.assert_array_equal(rows.sign_t, cols.sign_t)
         np.testing.assert_array_equal(rows.active_t, cols.active_t)
         np.testing.assert_array_equal(rows.n_active, cols.n_active)
@@ -137,14 +140,16 @@ class TestPackedMvm:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_col_major_parity(self, backend):
+        """A (K, B) slab into (C, B) partial sums, as a crossbar grid
+        runs it: packed through the transposed views."""
         rng = np.random.default_rng(11)
         x = _ternary(rng, (129, 6))       # (K, B) slab
         w = _binary(rng, (129, 10))
+        out = np.empty((10, 6), np.float32)
         with bp.force_popcount_backend(backend):
-            dots = bp.packed_mvm(bp.pack_ternary_cols(x), bp.pack_weights(w),
-                                 col_major=True)
-        assert dots.shape == (10, 6)
-        np.testing.assert_array_equal(dots, (x.T @ w).T)
+            bp.packed_mvm(bp.pack_ternary_rows(x.T), bp.pack_weights(w),
+                          out=out.T)
+        np.testing.assert_array_equal(out, (x.T @ w).T)
 
     def test_all_zero_activations(self):
         w = _binary(np.random.default_rng(0), (70, 5))
@@ -208,8 +213,10 @@ class TestPackedMvm:
                 got = bp.packed_mvm(bp.pack_ternary_rows(x),
                                     bp.pack_weights(w))
                 np.testing.assert_array_equal(got, ref)
-                got_t = bp.packed_mvm(bp.pack_ternary_cols(x.T),
-                                      bp.pack_weights(w), col_major=True)
+                got_t = np.empty((c, b))
+                bp.packed_mvm(bp.pack_ternary_rows(
+                    np.ascontiguousarray(x.T).T), bp.pack_weights(w),
+                    out=got_t.T)
                 np.testing.assert_array_equal(got_t, ref.T)
 
 
@@ -320,11 +327,11 @@ class TestPackedStaleness:
         layer = CimLinear(w, None, None,
                           CimConfig(max_rows=64, max_cols=64, seed=0),
                           OpLedger())
-        assert layer._exact_ok               # odd ADC steps: exact route
+        assert layer.grid.exact              # ideal arrays: exact route
         x = _ternary(rng, (3, 128))
         force_route(True)
         layer.forward(x)                     # warm every packed cache
-        for row in layer.crossbars:
+        for row in layer.grid.bars:
             for bar in row:
                 bar.inject_defects(_flipping_defects(seed=1))
         packed_out = layer.forward(x)
@@ -349,7 +356,7 @@ class TestPolicyRoute:
         x = _ternary(rng, (16, 512))
         config = dict(max_rows=512, max_cols=1024, seed=0)
         layer = CimLinear(w, None, None, CimConfig(**config), OpLedger())
-        assert layer.n_crossbars == 1 and layer._exact_ok
+        assert layer.n_crossbars == 1 and layer.grid.exact
         layer.ledger.reset()
         packed_out = layer.forward(x[:2])
         packed_ledger = layer.ledger.as_dict()

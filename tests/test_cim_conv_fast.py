@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 
 from repro import nn
-from repro.bayesian import BayesianCim, SpatialSpinDropout
+from repro.bayesian import (
+    BayesianCim,
+    SpatialSpinDropout,
+    make_spindrop_mlp,
+)
 from repro.cim import (
     CimConfig,
     CimConv2d,
@@ -57,22 +61,25 @@ class TestExactRoute:
     @pytest.mark.parametrize("c_out,c_in_pg,k,groups,dilation,strategy",
                              CONFIGS)
     def test_bit_identical_to_analog_route(self, c_out, c_in_pg, k,
-                                           groups, dilation, strategy):
+                                           groups, dilation, strategy,
+                                           force_analog, analog_calls):
         w = _binary((c_out, c_in_pg, k, k))
         x = RNG.standard_normal((3, c_in_pg * groups, 12, 12))
-        mask = (RNG.random(c_in_pg * groups) > 0.3).astype(np.float64)
+        dropped = RNG.random(c_in_pg * groups) < 0.3   # dropped maps
+        x[:, dropped] = 0.0
         ledger_fast, ledger_slow = OpLedger(), OpLedger()
         fast = CimConv2d(w, None, None, 1, 1,
                          CimConfig(seed=0, mapping_strategy=strategy),
                          ledger_fast, dilation=dilation, groups=groups)
-        slow = CimConv2d(w, None, None, 1, 1,
-                         CimConfig(seed=0, mapping_strategy=strategy),
-                         ledger_slow, dilation=dilation, groups=groups)
-        assert fast._exact_ok
-        slow._exact_ok = False
-        fast.channel_mask = mask
-        slow.channel_mask = mask
-        np.testing.assert_array_equal(fast.forward(x), slow.forward(x))
+        slow = force_analog(CimConv2d(
+            w, None, None, 1, 1,
+            CimConfig(seed=0, mapping_strategy=strategy),
+            ledger_slow, dilation=dilation, groups=groups))
+        assert all(grid.exact for grid in fast.grids)
+        exact_out = fast.forward(x)
+        assert not analog_calls
+        np.testing.assert_array_equal(exact_out, slow.forward(x))
+        assert len(analog_calls) == slow.n_crossbars
         assert ledger_fast.as_dict() == ledger_slow.as_dict()
 
     def test_disabled_on_variability(self):
@@ -80,23 +87,38 @@ class TestExactRoute:
                                 rng=np.random.default_rng(3))
         layer = CimConv2d(_binary((4, 2, 3, 3)), None, None, 1, 1,
                           CimConfig(seed=0, variability=var), OpLedger())
-        assert not layer._exact_ok
+        assert not any(grid.exact for grid in layer.grids)
 
     def test_disabled_on_wire_resistance(self):
         layer = CimConv2d(_binary((4, 2, 3, 3)), None, None, 1, 1,
                           CimConfig(seed=0, wire_resistance=50.0),
                           OpLedger())
-        assert not layer._exact_ok
+        assert not any(grid.exact for grid in layer.grids)
 
-    def test_disabled_on_even_adc_step(self):
-        # 45 unfolded rows at 6 ADC bits -> step ceil(90/63) = 2: an
-        # odd integer MAC / 2 ties exactly at .5, where the analog
-        # decode's ~1e-13 float noise decides the rounding — the exact
-        # route must refuse such layers.
-        layer = CimConv2d(_binary((4, 5, 3, 3)), None, None, 1, 0,
-                          CimConfig(seed=0, adc_bits=6), OpLedger())
-        assert any(adc.step % 2 == 0 for adc in layer.adcs)
-        assert not layer._exact_ok
+    @pytest.mark.parametrize("config", [dict(max_rows=32),
+                                        dict(adc_bits=4)],
+                             ids=["max_rows32", "adc_bits4"])
+    def test_even_adc_step_batched_equals_sequential(self, config):
+        # Even ADC steps (2 on 32-row tiles, 18 on 4-bit 128-row
+        # tiles) tie exactly at odd MACs.  On the analog chain the
+        # decode's ~1e-13 float noise, which depends on how many
+        # passes share a GEMM, decided those ties; an ideal array takes
+        # the exact route whatever its step, so stacking passes cannot
+        # change how a tie rounds.
+        def engine():
+            model = make_spindrop_mlp(256, (128, 64), 10, p=0.25, seed=0)
+            return BayesianCim(model, CimConfig(seed=0, **config), seed=0)
+
+        a, b = engine(), engine()
+        grids = [grid for layer in a.network.mvm_layers()
+                 for grid in layer.grids]
+        assert any(adc.step % 2 == 0 for grid in grids for adc in grid.adcs)
+        assert all(grid.exact for grid in grids)
+        x = RNG.standard_normal((4, 256))
+        seq = a.mc_forward(x, n_samples=20, batched=False)
+        bat = b.mc_forward_batched(x, n_samples=20)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
 
     def test_matches_software_conv_grouped_dilated(self):
         w = _binary((6, 2, 3, 3))
@@ -213,7 +235,10 @@ class TestGroupedMapping:
         layer = CimConv2d(_binary((8, 2, 3, 3)), None, None, 1, 1,
                           CimConfig(seed=0), OpLedger(), groups=4)
         assert layer.plan.groups == 4
-        assert len(layer.crossbars) == 4 * len(layer.plan.row_chunks)
+        assert len(layer.grids) == 4
+        assert all(len(grid.bars) == len(layer.plan.row_chunks)
+                   for grid in layer.grids)
+        assert layer.n_crossbars == layer.plan.n_crossbars
 
     def test_invalid_groups_rejected(self):
         with pytest.raises(ValueError):

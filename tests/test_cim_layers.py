@@ -72,51 +72,59 @@ class TestCimLinear:
             CimLinear(np.full((2, 2), 0.5), None, None, _ideal_config(),
                       OpLedger())
 
-    def test_exact_route_is_bit_identical_to_analog(self):
-        # An ideal chain with odd ADC steps takes the exact-integer
-        # float32 route; forcing the analog chain (``_exact_ok`` off)
-        # must reproduce the same outputs AND ledger totals bit-for-bit.
+    def test_exact_route_is_bit_identical_to_analog(self, force_analog,
+                                                    analog_calls):
+        # An ideal chain takes the exact-integer float32 route; forcing
+        # the analog chain must reproduce the same outputs AND ledger
+        # totals bit-for-bit.
         w = _binary((10, 300))   # 3 row tiles at max_rows=128
         la, lb = OpLedger(), OpLedger()
         fast = CimLinear(w, np.full(10, 0.5), np.arange(10.0),
                          _ideal_config(max_rows=128), la)
-        slow = CimLinear(w, np.full(10, 0.5), np.arange(10.0),
-                         _ideal_config(max_rows=128), lb)
-        assert fast._exact_ok
-        slow._exact_ok = False
+        slow = force_analog(CimLinear(w, np.full(10, 0.5), np.arange(10.0),
+                                      _ideal_config(max_rows=128), lb))
+        assert fast.grid.exact
         x = _binary((6, 300))
-        np.testing.assert_array_equal(fast.forward(x), slow.forward(x))
+        exact_out = fast.forward(x)
+        assert not analog_calls
+        np.testing.assert_array_equal(exact_out, slow.forward(x))
+        assert len(analog_calls) == slow.n_crossbars == 3
         assert la.as_dict() == lb.as_dict()
 
-    def test_exact_route_respects_input_mask(self):
+    def test_exact_route_respects_zeroed_inputs(self, force_analog,
+                                                analog_calls):
+        # A zero input (a neuron dropped upstream) drives no wordline,
+        # on the exact route as on the analog one.
         w = _binary((8, 32))
-        fast = CimLinear(w, None, None, _ideal_config(), OpLedger())
-        slow = CimLinear(w, None, None, _ideal_config(), OpLedger())
-        assert fast._exact_ok
-        slow._exact_ok = False
-        mask = np.ones(32)
-        mask[::3] = 0.0
-        fast.input_mask = mask
-        slow.input_mask = mask
+        la, lb = OpLedger(), OpLedger()
+        fast = CimLinear(w, None, None, _ideal_config(), la)
+        slow = force_analog(CimLinear(w, None, None, _ideal_config(), lb))
         x = _binary((4, 32))
+        x[:, ::3] = 0.0
         np.testing.assert_array_equal(fast.forward(x), slow.forward(x))
+        assert analog_calls
+        assert la.as_dict() == lb.as_dict()
+        np.testing.assert_allclose(fast.forward(x), x @ w.T, atol=1e-6)
 
-    def test_negative_zero_drives_no_wordline(self):
-        # ``chunk * gate`` turns a masked -1 into -0.0, which must book
-        # as an idle wordline, as +0.0 does on the analog route.
+    def test_negative_zero_drives_no_wordline(self, force_analog,
+                                              analog_calls):
+        # A dropped negative activation arrives as -0.0 (DropoutGate
+        # multiplies by 0.0); it must book as an idle wordline on the
+        # exact route, as +0.0 does on the analog route.
         w = _binary((8, 32))
-        mask = np.ones(32)
-        mask[::3] = 0.0
         x = -np.ones((4, 32))
+        x[:, ::3] *= 0.0
+        assert np.signbit(x[:, ::3]).all()
         ledgers = []
-        for exact in (True, False):
+        for analog in (False, True):
             ledger = OpLedger()
             layer = CimLinear(w, None, None, _ideal_config(), ledger)
-            layer._exact_ok = exact
-            layer.input_mask = mask
+            if analog:
+                force_analog(layer)
             layer.forward(x)
             ledgers.append(ledger.as_dict())
-        assert ledgers[0]["dac_drive"] == 4 * int(mask.sum())
+        assert analog_calls
+        assert ledgers[0]["dac_drive"] == 4 * int((x[0] != 0).sum())
         assert ledgers[0] == ledgers[1]
 
     def test_exact_route_disabled_by_nonideal_chain(self):
@@ -130,7 +138,7 @@ class TestCimLinear:
             VariabilityParams(sigma_r=0.05),
             rng=np.random.default_rng(0))
         layer = CimLinear(w, None, None, config, OpLedger())
-        assert not layer._exact_ok
+        assert not layer.grid.exact
 
 
 class TestCimConv2d:
@@ -155,18 +163,26 @@ class TestCimConv2d:
             outs.append(layer.forward(x))
         np.testing.assert_allclose(outs[0], outs[1], atol=1e-6)
 
-    def test_channel_mask_gates_feature_maps(self):
+    def test_zeroed_feature_map_gates_its_wordlines(self):
+        # A dropped input feature map (zeroed upstream) drives none of
+        # its K² wordlines: the live maps alone are booked.
         w = _binary((4, 3, 3, 3))
+        ledger = OpLedger()
         layer = CimConv2d(w, None, None, stride=1, padding=0,
-                          config=_ideal_config(), ledger=OpLedger())
+                          config=_ideal_config(), ledger=ledger)
         x = _binary((1, 3, 6, 6))
-        layer.channel_mask = np.array([1.0, 0.0, 1.0])
+        x[:, 1] = 0.0
+        ledger.reset()
         out = layer.forward(x)
-        x_masked = x.copy()
-        x_masked[:, 1] = 0.0
         from repro.tensor import functional as F
-        expected = F.conv2d(Tensor(x_masked), Tensor(w)).data
+        expected = F.conv2d(Tensor(x), Tensor(w)).data
         np.testing.assert_allclose(out, expected, atol=1e-6)
+        assert ledger["dac_drive"] == 4 * 4 * 2 * 9   # L × live maps × K²
+
+    def test_empty_batch(self):
+        layer = CimConv2d(_binary((4, 2, 3, 3)), None, None, 1, 1,
+                          _ideal_config(), OpLedger(), groups=2)
+        assert layer.forward(np.zeros((0, 4, 6, 6))).shape == (0, 4, 6, 6)
 
     def test_rejects_rectangular_kernel(self):
         w = np.ones((2, 2, 3, 5))

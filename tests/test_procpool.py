@@ -372,8 +372,8 @@ class TestFreshInterpreterBoot:
         model = make_spindrop_mlp(12, (8,), 3, p=0.3, seed=2)
         engine = BayesianCim(model, CimConfig(seed=4), seed=9)
         for stage in engine.network.mvm_layers():
-            for row in stage.crossbars:
-                for bar in row:
+            for grid in stage.grids:
+                for bar in (bar for row in grid.bars for bar in row):
                     bar.packed_weights_t()
         path = str(tmp_path / "snap")
         DeploymentSnapshot.capture(engine).save(path)

@@ -226,6 +226,12 @@ def _run_forced(force_route, family, packed, n_samples):
     return engine, engine.mc_forward_batched(x, n_samples=n_samples)
 
 
+def _xnor_bars(engine):
+    """Every XnorCrossbar of a deployed engine."""
+    return [bar for stage in engine.network.mvm_layers()
+            for grid in stage.grids for row in grid.bars for bar in row]
+
+
 BITPACK_FAMILIES = ("spindrop", "cim_conv")
 
 
@@ -260,17 +266,13 @@ class TestBitpackDifferential:
         crossbars carry the captured uint64 planes (no re-pack) and
         the prediction stream continues bit-exactly."""
         original, x = _bitpack_engine("spindrop")
-        for stage in original.network.mvm_layers():
-            for row in stage.crossbars:
-                for bar in row:
-                    bar.packed_weights_t()    # materialize → captured
+        for bar in _xnor_bars(original):
+            bar.packed_weights_t()            # materialize → captured
         path = str(tmp_path / "snap")
         DeploymentSnapshot.capture(original).save(path)
         restored = DeploymentSnapshot.load(path).build()
-        for stage in restored.network.mvm_layers():
-            for row in stage.crossbars:
-                for bar in row:
-                    assert bar._w_packed_t is not None
+        for bar in _xnor_bars(restored):
+            assert bar._w_packed_t is not None
         force_route(True)
         a = original.mc_forward_batched(x, n_samples=4)
         b = restored.mc_forward_batched(x, n_samples=4)

@@ -51,6 +51,7 @@ class TestBitExactEquivalence:
         bat = mc_segment_batched(b, x, n_samples=n_samples)
         np.testing.assert_array_equal(seq.samples, bat.samples)
         np.testing.assert_array_equal(seq.probs, bat.probs)
+        assert seq.served_samples == bat.served_samples == n_samples
 
     @pytest.mark.parametrize("batch", [1, 3])
     def test_batch_sizes(self, batch):
