@@ -157,8 +157,9 @@ SEG_SAMPLES = 10
 # Deployed conv slice: the Spatial-SpinDrop CNN compiled to CimConv2d
 # crossbars, T=10 on a small coalesced batch.  Its sequential baseline
 # runs the same plan-cached/exact-integer kernels, so the batched win
-# is pass-stacking + prefix memoization alone — gated at 2x instead
-# of the software engines' 3x.
+# is pass-stacking, prefix memoization and the gated conv (the
+# dropout-gated conv computes each channel's partial MACs once, not
+# per pass) — gated at 2x instead of the software engines' 3x.
 CIM_CONV_BATCH = 4
 CIM_CONV_SIZE = 16
 CIM_CONV_WIDTHS = (8, 16)
@@ -245,9 +246,32 @@ def _cim_conv_engine() -> BayesianCim:
     return BayesianCim(model, CimConfig(seed=0), seed=0)
 
 
+@contextlib.contextmanager
+def _counting_gated_calls():
+    """Count ``CrossbarGrid.mvm_gated`` calls (the gated conv route)
+    made inside the block."""
+    from repro.cim.layers import CrossbarGrid
+
+    real = CrossbarGrid.mvm_gated
+    calls = [0]
+
+    def counted(grid, *args, **kwargs):
+        calls[0] += 1
+        return real(grid, *args, **kwargs)
+
+    CrossbarGrid.mvm_gated = counted
+    try:
+        yield calls
+    finally:
+        CrossbarGrid.mvm_gated = real
+
+
 def _gate_engine(name, make_engine, x, n_samples, min_speedup,
-                 check_plan_rebuilds=False):
-    """Equivalence check + timed gate for one engine; returns a record."""
+                 check_plan_rebuilds=False, check_gated_route=False):
+    """Equivalence check + timed gate for one engine; returns a record.
+
+    ``check_gated_route`` requires the warm batched call to run the
+    Spatial-SpinDrop gate→conv pair as one gated conv."""
     check_seq = make_engine()
     check_bat = make_engine()
     check_seq.ledger.reset()
@@ -275,13 +299,20 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
         # Warm engines must serve every im2col/pooling geometry from
         # the memoized plan cache: zero index-plan rebuilds from here.
         builds_before = conv_plan_cache_stats()["builds"]
-        engine.mc_forward_batched(x, n_samples=n_samples)
+        with _counting_gated_calls() as gated:
+            engine.mc_forward_batched(x, n_samples=n_samples)
         rebuilds = conv_plan_cache_stats()["builds"] - builds_before
         if rebuilds != 0:
             print(f"FAIL: warm {name} engine rebuilt {rebuilds} "
                   f"im2col index plans (expected 0)")
             return None
         record["plan_rebuilds_warm"] = rebuilds
+        if check_gated_route:
+            if gated[0] == 0:
+                print(f"FAIL: warm {name} engine did not run its gated "
+                      f"conv route")
+                return None
+            record["gated_conv_calls_warm"] = gated[0]
     seq_s = _best_of(
         lambda: engine.mc_forward(x, n_samples=n_samples, batched=False),
         REPEATS)
@@ -1045,7 +1076,8 @@ def main() -> int:
         return 1
     cim_conv = _gate_engine("cim_conv", _cim_conv_engine, x_conv,
                             CIM_CONV_SAMPLES, args.cim_conv_min_speedup,
-                            check_plan_rebuilds=True)
+                            check_plan_rebuilds=True,
+                            check_gated_route=True)
     if cim_conv is None:
         return 1
     spindrop["model"] = (f"spindrop_mlp {IN_FEATURES}-"

@@ -33,8 +33,11 @@ gathers its im2col patches by strided-slice copies into per-thread
 scratch arenas and, on an ideal chain, takes the exact-integer float32
 crossbar route, whose ADC also quantizes in float32; the digital
 stages work in place on the arrays they allocate.  Both strategies
-share these kernels and stay bit-for-bit comparable.  The ``cim_conv``
-entry of ``scripts/bench_ci.py`` gates all of that in CI.
+share these kernels and stay bit-for-bit comparable.  The batched
+strategy also runs a Spatial-SpinDrop gate and the conv it feeds as
+one gated conv, which computes each input channel's partial MACs once
+per call instead of once per pass.  The ``cim_conv`` entry of
+``scripts/bench_ci.py`` gates all of that in CI.
 """
 
 from __future__ import annotations
@@ -58,10 +61,12 @@ from repro.bayesian.subset_vi import BayesianScale
 from repro.cim.compile import _deploy_layer
 from repro.cim.layers import (
     CimConfig,
+    CimConv2d,
     CimNetwork,
     DigitalScale,
     DropoutGate,
     FrozenNorm,
+    GatedConvInput,
 )
 from repro.cim.ledger import OpLedger
 from repro.devices.rng import SpintronicRNG
@@ -124,6 +129,7 @@ class BayesianCim:
             if isinstance(stage, FrozenNorm) and isinstance(layer, AffineDropout):
                 self._bind_affine(layer, stage, rng_var)
         self.network = CimNetwork(stages, self.ledger, self.config)
+        self._plan_stacking()
 
     # ------------------------------------------------------------------
     @classmethod
@@ -145,6 +151,7 @@ class BayesianCim:
         self._rng = rng
         self.bindings = list(bindings)
         self.network = network
+        self._plan_stacking()
         return self
 
     # ------------------------------------------------------------------
@@ -344,18 +351,28 @@ class BayesianCim:
         var = self.config.variability
         return var is not None and var.params.sigma_read > 0.0
 
-    def _stochastic_split(self) -> int:
-        """Index of the first stage driven by a mask binding.
+    def _plan_stacking(self) -> None:
+        """Fix the batched engine's structure; bindings and stages do
+        not change after the build.
 
-        Stages before it are pass-invariant: they see the same input on
-        every MC pass and (absent read noise) compute the same output,
-        so the batched engine evaluates them once and broadcasts.
+        ``_split`` is the index of the first stage a mask binding
+        drives.  Stages before it are pass-invariant: they see the same
+        input on every MC pass and (absent read noise) compute the same
+        output, so the batched engine evaluates them once and
+        broadcasts.  ``_gated_pair`` is ``(binding index, conv)`` when
+        that stage is a channel-wise :class:`DropoutGate` feeding a
+        :class:`CimConv2d`, which the engine may run as one gated conv.
         """
-        bound = {id(binding.target) for binding in self.bindings}
-        for idx, stage in enumerate(self.network.stages):
-            if id(stage) in bound:
-                return idx
-        return len(self.network.stages)
+        bound = {id(binding.target): idx
+                 for idx, binding in enumerate(self.bindings)}
+        stages = self.network.stages
+        self._split = next((idx for idx, stage in enumerate(stages)
+                            if id(stage) in bound), len(stages))
+        self._gated_pair = None
+        pair = stages[self._split:self._split + 2]
+        if (len(pair) == 2 and isinstance(pair[0], DropoutGate)
+                and pair[0].channelwise and isinstance(pair[1], CimConv2d)):
+            self._gated_pair = (bound[id(pair[0])], pair[1])
 
     def forward_batched(self, x: np.ndarray, n_samples: int = 20,
                         chunk_passes: Optional[int] = None) -> np.ndarray:
@@ -366,7 +383,7 @@ class BayesianCim:
         totals (crossbar accesses, ADC conversions, RNG cycles, SRAM
         reads).  Mask banks are pre-drawn in sequential RNG order
         (:meth:`_draw_sample_banks`), then the passes run as one
-        flattened ``(T·N, …)`` tensor.  Two
+        flattened ``(T·N, …)`` tensor.  Three
         refinements keep that equivalence exact while going fast:
 
         * the *pass-invariant prefix* — every stage before the first
@@ -374,13 +391,23 @@ class BayesianCim:
           passes, its ledger delta multiplied by T (the hardware still
           performs T passes; the simulator memoizes deterministic
           recomputation);
+        * when that first stochastic stage is a channel-wise
+          :class:`DropoutGate` feeding a :class:`CimConv2d` whose grids
+          are all exact, and the prefix output is finite, the pair runs
+          as one *gated conv*: the conv reads the gate's keep bank and
+          computes every input channel's partial MAC once from the N
+          pass-invariant images, and each pass's crossbar MAC is the
+          kept channels' sum (:meth:`CimConv2d.forward` with ``keep``),
+          instead of gathering and multiplying T·N gated images;
         * when cycle-to-cycle read noise is enabled the chain is no
           longer pass-deterministic, so the engine drops to one pass
           per stacked call and disables prefix memoization — the noise
           stream is then consumed draw-for-draw in sequential order.
 
         ``chunk_passes`` bounds peak memory by evaluating at most that
-        many passes per stacked forward (default: all at once).
+        many passes per stacked forward (default: all at once).  The
+        gated conv's partial MACs are computed once per call and serve
+        every chunk.
         """
         if n_samples < 1:
             raise ValueError("need at least one MC sample")
@@ -395,10 +422,9 @@ class BayesianCim:
                 self._rng_bits_per_image(binding) * batch * n_samples)
 
         chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
-        split = self._stochastic_split()
+        split, gated = self._split, self._gated_pair
         if self._has_read_noise():
-            chunk = 1
-            split = 0
+            chunk, split, gated = 1, 0, None
         stages = self.network.stages
 
         # Pass-invariant prefix: run once, book T-fold.
@@ -407,6 +433,15 @@ class BayesianCim:
             with self.ledger.amortized(n_samples):
                 for stage in stages[:split]:
                     h = stage(h)
+        # With a NaN or inf input the stacked gate's 0·NaN still drives
+        # a wordline; only the stacked path models that.
+        if gated is not None and gated[1].exact and np.isfinite(h).all():
+            gated_bank, conv = gated
+            h = GatedConvInput(conv, h)
+            rest = stages[split + 2:]
+        else:
+            gated = None
+            rest = stages[split:]
 
         outs = []
         try:
@@ -414,10 +449,17 @@ class BayesianCim:
                 t1 = min(t0 + chunk, n_samples)
                 self._install_banks(banks, t0, t1, batch)
                 self._set_passes_per_call(t1 - t0)
-                flat = np.broadcast_to(
-                    h[None], (t1 - t0,) + h.shape).reshape(
-                        ((t1 - t0) * batch,) + h.shape[1:])
-                for stage in stages[split:]:
+                if gated is not None:
+                    keep = banks[gated_bank][t0:t1]
+                    # The gate's own ops, as it books them on the
+                    # stacked batch: one per (image, channel).
+                    self.ledger.add("digital_op", keep.size * batch)
+                    flat = conv.forward(h, keep=keep)
+                else:
+                    flat = np.broadcast_to(
+                        h[None], (t1 - t0,) + h.shape).reshape(
+                            ((t1 - t0) * batch,) + h.shape[1:])
+                for stage in rest:
                     flat = stage(flat)
                 outs.append(flat.reshape((t1 - t0, batch) + flat.shape[1:]))
         finally:

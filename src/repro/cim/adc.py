@@ -78,9 +78,10 @@ class PopcountADC(ADC):
     adjacent counts share codes (quantization), the step growing as
     ``ceil((2·rows) / (2^bits − 1))`` counts per code.
 
-    :meth:`convert` clips into one fresh array of the input's dtype
-    (float32 stays float32, anything else becomes float64) and
-    divides, rounds and rescales it in place, with scalars of that
+    :meth:`convert` clips into one array of the input's dtype
+    (float32 stays float32, anything else becomes float64), fresh
+    unless the caller passes ``out`` (which may be the input itself),
+    and divides, rounds and rescales it in place, with scalars of that
     dtype; in-place IEEE operations round exactly as out-of-place
     ones.  Float32 partial sums come from the exact-integer routes of
     :class:`~repro.cim.layers.CrossbarGrid`, under both
@@ -102,14 +103,15 @@ class PopcountADC(ADC):
         span = 2 * rows
         self.step = max(1, int(np.ceil(span / (self.n_codes - 1))))
 
-    def convert(self, values: np.ndarray) -> np.ndarray:
+    def convert(self, values: np.ndarray,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
         values = np.asarray(values)
         if values.dtype != np.float32:
             values = values.astype(np.float64, copy=False)
         self.ledger.add("adc_conversion", values.size)
         t = values.dtype.type
         out = np.clip(values, t(self.lo), t(self.hi),
-                      out=np.empty_like(values))
+                      out=np.empty_like(values) if out is None else out)
         np.divide(out, t(self.step), out=out)
         np.rint(out, out=out)
         np.multiply(out, t(self.step), out=out)

@@ -112,6 +112,16 @@ class CrossbarGrid:
     alone and for passes stacked into one GEMM.  So an ideal array
     takes the exact route whatever its step: ties round half to even
     and the stacked engine matches the sequential one bit for bit.
+
+    An exact grid also serves *channel-gated* drives, where MC pass
+    ``p`` asserts only the wordline groups of the input channels that
+    ``keep[p]`` keeps (Spatial-SpinDrop in front of a conv).
+    :meth:`channel_partials` computes every channel's partial MAC once
+    from the pass-invariant drive, and :meth:`mvm_gated` forms each
+    pass's partial sum as ``Σ_c keep[p, c] · partial_c`` and reads it
+    through the same ADCs and ledger bookings as :meth:`mvm`.  The
+    regrouped sum holds the same integers as the GEMM on the gated
+    drive, so the result is bit-identical.
     """
 
     def __init__(self, weights: np.ndarray, row_chunks, col_chunks,
@@ -180,6 +190,69 @@ class CrossbarGrid:
                     bar.book_mvm(total_active)
             out += adc.convert(partial)
 
+    def channel_partials(self, drive: np.ndarray, width: int) -> list:
+        """The pass-invariant half of :meth:`mvm_gated`.
+
+        ``drive`` is a float32 ``(…, K, B)`` stack of drives (as for
+        :meth:`mvm`, leading axes optional) whose rows are
+        channel-major, ``width`` rows per input channel.  A row chunk
+        need not hold whole channels (``max_rows`` need not be a
+        multiple of ``width``), so each chunk is cut into channel
+        segments.  Returns, per row chunk, ``(c0, c1, partials,
+        active)``: the chunk's channels ``c0 … c1−1``, each segment's
+        ``(…, C, B)`` partial MAC on the chunk's arrays, stacked on a
+        new first axis, and each segment's count of asserted wordlines
+        over the whole stack.
+        """
+        if not self.exact:
+            raise ValueError("channel-gated MVMs need an exact grid")
+        n_cols, lead = self.col_chunks[-1][1], drive.shape[:-2]
+        row_axis = drive.ndim - 2
+        active_rows = np.count_nonzero(
+            drive.view(np.int32),
+            axis=tuple(a for a in range(drive.ndim) if a != row_axis))
+        chunks = []
+        for (r0, r1), bars in zip(self.row_chunks, self.bars):
+            c0, c1 = r0 // width, -(-r1 // width)
+            partials = np.empty((c1 - c0,) + lead + (n_cols, drive.shape[-1]),
+                                dtype=np.float32)
+            active = np.empty(c1 - c0, dtype=np.int64)
+            for k, channel in enumerate(range(c0, c1)):
+                s0 = max(r0, channel * width)
+                s1 = min(r1, (channel + 1) * width)
+                active[k] = active_rows[s0:s1].sum()
+                for bar, (j0, j1) in zip(bars, self.col_chunks):
+                    np.matmul(bar.signed_weights_t()[:, s0 - r0:s1 - r0],
+                              drive[..., s0:s1, :],
+                              out=partials[k, ..., j0:j1, :])
+            chunks.append((c0, c1, partials, active))
+        return chunks
+
+    def mvm_gated(self, partials: list, keep: np.ndarray,
+                  out: np.ndarray) -> None:
+        """Add each pass's ADC-read MAC of a channel-gated drive to ``out``.
+
+        ``partials`` comes from :meth:`channel_partials`; ``keep`` is a
+        float32 ``(P, channels)`` bank of 0/1, row ``p`` the channels
+        pass ``p`` drives; ``out`` is ``(P, …, C, B)``.  Pass ``p``'s
+        partial sum ``Σ_c keep[p, c] · partial_c`` holds the integers
+        the float32 route of :meth:`mvm` computes on the gated drive:
+        every term is an integer and every sum is bounded by the chunk's
+        row count, far below 2^24, so the regrouping rounds nothing.
+        Each array books the asserted wordlines of every pass,
+        ``Σ_p Σ_c keep[p, c] · active_c``, as :meth:`mvm` would.
+        """
+        passes = keep.shape[0]
+        kept = np.count_nonzero(keep, axis=0)
+        for (c0, c1, part, active), bars, adc in zip(partials, self.bars,
+                                                     self.adcs):
+            psum = np.matmul(keep[:, c0:c1], part.reshape(c1 - c0, -1))
+            total_active = int(kept[c0:c1] @ active)
+            for bar in bars:
+                bar.book_mvm(total_active)
+            psum = psum.reshape((passes,) + part.shape[1:])
+            out += adc.convert(psum, out=psum)
+
     def state_dict(self, first: int) -> dict:
         """Every array's state as ``xb{f}_{j}_{key}``, ``f`` counting
         row chunks from ``first``."""
@@ -219,6 +292,11 @@ class _GridLayer(CimLayer):
     def n_crossbars(self) -> int:
         return sum(len(row) for grid in self.grids for row in grid.bars)
 
+    @property
+    def exact(self) -> bool:
+        """Whether every grid takes the exact-integer routes."""
+        return all(grid.exact for grid in self.grids)
+
     def _state_arrays(self) -> dict:
         arrays = {}
         if self.scale is not None:
@@ -234,7 +312,8 @@ class _GridLayer(CimLayer):
             grid.load_state(arrays, g * len(grid.bars))
 
     def _scale_bias(self, out: np.ndarray) -> None:
-        """The digital epilogue, in place on the ``(C, B)`` accumulator."""
+        """The digital epilogue, in place on the ``(…, C, B)``
+        accumulator."""
         if self.scale is not None:
             out *= self.scale[:, None]
             self.ledger.add("digital_mac", out.size)
@@ -318,6 +397,12 @@ class CimConv2d(_GridLayer):
     arenas of :mod:`repro.tensor.functional`, in the dtype of the
     grids' route, so a warm engine (batched MC, serving flushes)
     reuses its patch slab and builds no index plan.
+
+    ``forward(x, keep=bank)`` runs a channel-wise :class:`DropoutGate`
+    and this conv as one *gated conv* on exact grids: ``x`` holds the
+    N pass-invariant images, ``bank`` one keep row per MC pass, and
+    the patches are gathered once from the N images instead of from
+    P·N gated copies (see :meth:`CrossbarGrid.mvm_gated`).
     """
 
     def __init__(self, binary_weights: np.ndarray,
@@ -382,21 +467,45 @@ class CimConv2d(_GridLayer):
         self._load_grids(arrays)
         return self
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        lead, x = split_leading_axes(x, 3)   # (T, N, C, H, W) sample axis
-        n = x.shape[0]
+    def _patches(self, x: np.ndarray):
+        """Per-group ``(C_in/g·K², L·N)`` drives of ``(N, C, H, W)``
+        images, and the output ``(out_h, out_w)``."""
         # Binarize in float64 (a denormal that underflows to 0.0 in
         # float32 must still drive its wordline) before the gather
         # casts to the route dtype, which one layer's grids share.
         gather_buf, out_h, out_w = _gather_padded_patches(
             np.sign(x), self.kh, self.kh, self.stride, self.padding,
             self.dilation, self.grids[0].dtype, tag="cim_conv")
-        length = out_h * out_w
         # im2col rows are channel-major, so each group's wordlines are
         # one contiguous block of the (C_in·K², L·N) patch slab.
         patches = gather_buf.reshape(
-            self.groups, self.c_in // self.groups * self.kh ** 2, length * n)
+            self.groups, self.c_in // self.groups * self.kh ** 2,
+            out_h * out_w * x.shape[0])
+        return patches, (out_h, out_w)
+
+    def forward(self, x, keep: Optional[np.ndarray] = None) -> np.ndarray:
+        """The conv of ``x``: ``(N, C, H, W)``, or with leading sample axes.
+
+        With ``keep``, a ``(P, C_in)`` bank of keep masks, one row per
+        MC pass, ``x`` holds the N images a channel-wise
+        :class:`DropoutGate` gates, and the result stacks the P passes
+        pass-major, ``(P·N, C_out, H', W')``: bit for bit the gate's and
+        this conv's stacked forward on ``x`` repeated P times, with the
+        same ledger bookings except the gate's own.  ``x`` may be a
+        :class:`GatedConvInput`, which keeps the images' per-channel
+        partial MACs for further calls with other keep banks.  The
+        grids must be :attr:`exact` and the images finite (``0·NaN``
+        still drives a wordline in the stacked forward).
+        """
+        if keep is not None:
+            if not isinstance(x, GatedConvInput):
+                x = GatedConvInput(self, x)
+            return self._forward_gated(x, np.asarray(keep))
+        x = np.asarray(x, dtype=np.float64)
+        lead, x = split_leading_axes(x, 3)   # (T, N, C, H, W) sample axis
+        n = x.shape[0]
+        patches, (out_h, out_w) = self._patches(x)
+        length = out_h * out_w
         out = np.zeros((self.groups, self.c_out // self.groups, length * n))
         for grid, drive, out_g in zip(self.grids, patches, out):
             grid.mvm(drive, out_g)
@@ -406,6 +515,55 @@ class CimConv2d(_GridLayer):
             out.reshape(self.c_out, length, n).transpose(2, 0, 1)
         ).reshape(n, self.c_out, out_h, out_w)
         return merge_leading_axes(lead, out)
+
+    def _forward_gated(self, x: "GatedConvInput",
+                       keep: np.ndarray) -> np.ndarray:
+        if x.conv is not self:
+            raise ValueError("gated input was made for another conv")
+        if keep.ndim != 2 or keep.shape[1] != self.c_in:
+            raise ValueError(f"keep bank of shape {keep.shape} does not "
+                             f"gate {self.c_in} input channels")
+        n = x.images.shape[0]
+        if x.partials is None:
+            patches, x.out_hw = self._patches(x.images)
+            # One (C_in/g·K², L) drive per image, so that the partial
+            # MACs, and with them the output, come out image-major.
+            drives = np.ascontiguousarray(patches.reshape(
+                self.groups, -1, x.out_hw[0] * x.out_hw[1], n
+            ).transpose(0, 3, 1, 2))
+            x.partials = [grid.channel_partials(drive, self.kh ** 2)
+                          for grid, drive in zip(self.grids, drives)]
+        passes = keep.shape[0]
+        out_h, out_w = x.out_hw
+        keep = (keep > 0).astype(np.float32).reshape(passes, self.groups, -1)
+        out = np.zeros((passes, n, self.groups, self.c_out // self.groups,
+                        out_h * out_w))
+        for g, (grid, partials) in enumerate(zip(self.grids, x.partials)):
+            grid.mvm_gated(partials, keep[:, g], out[:, :, g])
+        out = out.reshape(passes, n, self.c_out, out_h * out_w)
+        self._scale_bias(out)
+        return out.reshape(passes * n, self.c_out, out_h, out_w)
+
+
+class GatedConvInput:
+    """Pass-invariant images of a channel-gated :class:`CimConv2d`.
+
+    The first gated :meth:`CimConv2d.forward` on it gathers the
+    images' patches once and fills in every grid's per-channel partial
+    MACs (:meth:`CrossbarGrid.channel_partials`); later calls with
+    other keep banks, such as the batched MC engine's pass chunks,
+    reuse them.
+    """
+
+    def __init__(self, conv: CimConv2d, images: np.ndarray):
+        if not conv.exact:
+            raise ValueError("a gated conv needs exact crossbar grids")
+        self.conv = conv
+        self.images = np.asarray(images, dtype=np.float64)
+        if self.images.ndim != 4:
+            raise ValueError("a gated conv expects (N, C, H, W) images")
+        self.partials: Optional[list] = None
+        self.out_hw = (0, 0)
 
 
 class FrozenNorm(CimLayer):
@@ -519,7 +677,10 @@ class DropoutGate(CimLayer):
     ``None`` = deterministic pass-through.  The batched MC engine
     instead installs a 2-D mask *bank* — one row per sample of the
     flattened ``(T·N, …)`` batch — so all T per-pass masks apply in a
-    single stacked multiply.
+    single stacked multiply.  When a channel-wise gate feeds a
+    :class:`CimConv2d` on exact grids, the engine skips this stage:
+    the conv reads the gate's per-pass bank as its ``keep`` argument
+    (a gated conv), and the engine books the gate's digital ops.
     """
 
     def __init__(self, p: float, channelwise: bool, ledger: OpLedger):

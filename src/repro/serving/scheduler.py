@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import numbers
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +79,16 @@ __all__ = ["BatchScheduler", "PendingPrediction", "SchedulerStats"]
 # A deadline timer thread with nothing armed for this long exits; the
 # next request into an empty queue starts a new one.
 _TIMER_IDLE_S = 1.0
+
+
+def _check_n_samples(n_samples) -> None:
+    """Reject a sample count T that is not a positive integer."""
+    if (isinstance(n_samples, (bool, np.bool_))
+            or not isinstance(n_samples, numbers.Integral)):
+        raise ValueError(
+            f"n_samples must be an integer, got {n_samples!r}")
+    if n_samples < 1:
+        raise ValueError("need at least one MC sample")
 
 
 @dataclasses.dataclass
@@ -283,8 +294,7 @@ class BatchScheduler:
                  registry=None, default_model: Optional[str] = None,
                  metrics: Optional[LoadMetrics] = None,
                  admission=None, controlplane=None):
-        if n_samples < 1:
-            raise ValueError("need at least one MC sample")
+        _check_n_samples(n_samples)
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         if flush_interval is not None and flush_interval <= 0:
@@ -387,11 +397,12 @@ class BatchScheduler:
         Raises
         ------
         ValueError
-            For an empty request, a row holding NaN or inf, a
-            feature-shape mismatch, an ambiguous multi-dimensional
-            first request without ``feature_shape``, a ``model``
-            without a registry, a non-positive ``deadline_s``, or
-            ``n_samples < 1``.
+            For an empty request, a dtype other than bool, integer or
+            real floating, a row holding NaN or inf, a feature-shape
+            mismatch, an ambiguous multi-dimensional first request
+            without ``feature_shape``, a ``model`` without a registry,
+            a non-positive ``deadline_s``, or an ``n_samples`` that is
+            not an integer (bools included) or is below 1.
         KeyError
             For a ``model`` the registry does not know.
         AdmissionRejected
@@ -447,15 +458,21 @@ class BatchScheduler:
         """
         if n_samples is None:
             n_samples = self.n_samples
-        if n_samples < 1:
-            raise ValueError("need at least one MC sample")
+        _check_n_samples(n_samples)
         if model is None:
             model = self.default_model
         if model is not None and self.registry is None:
             raise ValueError(
                 f"request names model {model!r} but the scheduler has "
                 f"no registry")
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if x.dtype.kind not in "biuf":
+            # A float64 cast would drop a complex part, parse
+            # strings, or read an object array of None as NaN.
+            raise ValueError(
+                f"request dtype {x.dtype} is not bool, integer or real "
+                f"floating")
+        x = x.astype(np.float64, copy=False)
         finite = bool(np.isfinite(x).all())
         with self._lock:
             # A route's shape is pinned (``pin``) only once the request

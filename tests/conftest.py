@@ -8,11 +8,18 @@ A test forces a route by clearing a grid's ``exact`` flag or by
 patching that policy, and proves the route ran by spying on
 :meth:`XnorCrossbar.mvm_cols` (analog) or
 :meth:`XnorCrossbar.mvm_packed` (packed).
+
+The batched MC engine runs a channel-wise dropout gate and the conv
+it feeds as one gated conv on exact grids
+(:meth:`CrossbarGrid.mvm_gated`, spied by ``gated_calls``);
+``force_stacked(engine)`` sends that pair down the stacked path
+instead.
 """
 
 import pytest
 
 from repro.cim import XnorCrossbar
+from repro.cim.layers import CrossbarGrid
 from repro.tensor import bitpack
 
 
@@ -37,15 +44,26 @@ def force_analog():
     return force
 
 
-def _spy(monkeypatch, name):
+@pytest.fixture
+def force_stacked():
+    """``force_stacked(engine)`` runs a deployed ``BayesianCim``'s
+    gate→conv pair as a gate stage and a stacked conv, as on analog
+    grids, while the grids stay exact."""
+    def force(engine):
+        engine._gated_pair = None
+        return engine
+    return force
+
+
+def _spy(monkeypatch, name, owner=XnorCrossbar):
     calls = []
-    real = getattr(XnorCrossbar, name)
+    real = getattr(owner, name)
 
-    def spy(bar, *args, **kwargs):
-        calls.append(bar)
-        return real(bar, *args, **kwargs)
+    def spy(target, *args, **kwargs):
+        calls.append(target)
+        return real(target, *args, **kwargs)
 
-    monkeypatch.setattr(XnorCrossbar, name, spy)
+    monkeypatch.setattr(owner, name, spy)
     return calls
 
 
@@ -59,3 +77,9 @@ def packed_calls(monkeypatch):
 def analog_calls(monkeypatch):
     """The crossbar of every ``XnorCrossbar.mvm_cols`` call, in order."""
     return _spy(monkeypatch, "mvm_cols")
+
+
+@pytest.fixture
+def gated_calls(monkeypatch):
+    """The grid of every ``CrossbarGrid.mvm_gated`` call, in order."""
+    return _spy(monkeypatch, "mvm_gated", CrossbarGrid)

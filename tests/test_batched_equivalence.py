@@ -27,8 +27,20 @@ from repro.bayesian import (
     make_subset_vi_mlp,
     mc_predict_batched,
 )
-from repro.cim import CimConfig, DeploymentSnapshot
-from repro.devices import DeviceVariability, VariabilityParams
+from repro.cim import (
+    CimConfig,
+    DeploymentSnapshot,
+    MappingStrategy,
+    OpLedger,
+)
+from repro.cim.layers import CrossbarGrid
+from repro.cim.mapping import _chunk
+from repro.devices import (
+    DefectModel,
+    DefectRates,
+    DeviceVariability,
+    VariabilityParams,
+)
 
 RNG = np.random.default_rng(42)
 X_FLAT = RNG.standard_normal((9, 20))
@@ -70,12 +82,15 @@ ALL_KINDS = ["neuron", "channel", "scale", "affine", "vi"]
 
 class TestBitExactEquivalence:
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_samples_probs_and_ledger_match(self, kind):
+    def test_samples_probs_and_ledger_match(self, kind, gated_calls):
         model, x = _model(kind)
         a = _deploy(model)
         b = _deploy(model)
         seq = a.mc_forward(x, n_samples=6, batched=False)
+        assert not gated_calls
         bat = b.mc_forward(x, n_samples=6, batched=True)
+        # The Spatial-SpinDrop CNN's gate→conv pair runs as a gated conv.
+        assert bool(gated_calls) == (kind == "channel")
         np.testing.assert_array_equal(seq.samples, bat.samples)
         np.testing.assert_array_equal(seq.probs, bat.probs)
         assert a.ledger.as_dict() == b.ledger.as_dict()
@@ -344,3 +359,200 @@ class TestOneDrawPerStream:
             binding.rng_bank.rng = spy
         engine.forward_batched(X_FLAT, n_samples=20)
         assert spy.calls == 1
+
+
+# ----------------------------------------------------------------------
+# The gated conv: a channel-wise gate and the conv it feeds, as one
+# ----------------------------------------------------------------------
+X_CNN = RNG.standard_normal((5, 1, 16, 16))
+
+
+def _cnn(**config):
+    """The perfbench Spatial-SpinDrop CNN: an 8-channel gate feeds a
+    conv of 8·9 = 72 rows."""
+    model = make_spatial_spindrop_cnn(1, 16, 10, p=0.25, widths=(8, 16),
+                                      seed=0)
+    return BayesianCim(model, CimConfig(seed=0, **config), seed=0)
+
+
+def _variability(sigma_read=0.0):
+    return DeviceVariability(
+        VariabilityParams(sigma_r=0.03, sigma_delta=0.03,
+                          sigma_read=sigma_read),
+        rng=np.random.default_rng(77))
+
+
+def _defects():
+    return DefectModel(DefectRates(stuck_at_p=0.02, stuck_at_ap=0.02),
+                       rng=np.random.default_rng(5))
+
+
+def _batched_vs_sequential(make, x, n_samples, chunk_passes=None,
+                           equal_nan=False):
+    """Serve ``x`` on two fresh engines, one batched and one through
+    the sequential oracle; return the batched engine."""
+    a, b = make(), make()
+    a.ledger.reset()
+    b.ledger.reset()
+    seq = a.mc_forward(x, n_samples=n_samples, batched=False)
+    bat = b.mc_forward(x, n_samples=n_samples, chunk_passes=chunk_passes)
+    assert np.array_equal(seq.samples, bat.samples, equal_nan=equal_nan)
+    assert a.ledger.as_dict() == b.ledger.as_dict()
+    return b
+
+
+GATED_CONFIGS = {
+    # 32-row chunks cut the 72-row conv at rows 32 and 64, inside
+    # channels 3 (rows 27-35) and 7 (rows 63-71).
+    "cut_channels": lambda: dict(max_rows=32),
+    "tiled_kxk": lambda: dict(mapping_strategy=MappingStrategy.TILED_KXK),
+    "narrow_cols": lambda: dict(max_cols=8),
+    "adc_4bit": lambda: dict(adc_bits=4),
+    # A defective array still reads exactly, its post-defect weights.
+    "defects": lambda: dict(defects=_defects()),
+}
+
+
+class TestGatedConv:
+    @pytest.mark.parametrize("name", sorted(GATED_CONFIGS))
+    def test_batched_matches_sequential(self, name, gated_calls):
+        engine = _batched_vs_sequential(
+            lambda: _cnn(**GATED_CONFIGS[name]()), X_CNN, 7)
+        assert gated_calls
+        assert all(grid in engine._gated_pair[1].grids
+                   for grid in gated_calls)
+        if name == "cut_channels":
+            assert engine._gated_pair[1].plan.row_chunks == (
+                (0, 32), (32, 64), (64, 72))
+
+    def test_chunked_passes_share_one_set_of_partials(self, gated_calls,
+                                                      monkeypatch):
+        partial_calls = []
+        real = CrossbarGrid.channel_partials
+
+        def spy(grid, *args, **kwargs):
+            partial_calls.append(grid)
+            return real(grid, *args, **kwargs)
+
+        monkeypatch.setattr(CrossbarGrid, "channel_partials", spy)
+        _batched_vs_sequential(_cnn, X_CNN, 20, chunk_passes=6)
+        assert len(gated_calls) == 4             # chunks of 6, 6, 6, 2
+        assert len(partial_calls) == 1
+
+    @pytest.mark.parametrize("n_images,n_samples", [(1, 1), (1, 5), (3, 1)])
+    def test_single_image_and_single_pass(self, n_images, n_samples,
+                                          gated_calls):
+        _batched_vs_sequential(_cnn, X_CNN[:n_images], n_samples)
+        assert len(gated_calls) == 1
+
+    def test_matches_the_stacked_path(self, gated_calls, force_stacked):
+        gated, stacked = _cnn(), force_stacked(_cnn())
+        a = gated.forward_batched(X_CNN, n_samples=9)
+        assert len(gated_calls) == 1
+        b = stacked.forward_batched(X_CNN, n_samples=9)
+        assert len(gated_calls) == 1
+        np.testing.assert_array_equal(a, b)
+        assert gated.ledger.as_dict() == stacked.ledger.as_dict()
+
+    def test_snapshot_built_engine_runs_gated(self, tmp_path, gated_calls):
+        path = str(tmp_path / "cnn")
+        DeploymentSnapshot.capture(_cnn()).save(path)
+        snapshot = DeploymentSnapshot.load(path)
+        engine = _batched_vs_sequential(snapshot.build, X_CNN, 6)
+        assert engine._gated_pair is not None
+        assert gated_calls
+        # And the same samples as the engine it was captured from.
+        original = _cnn()
+        original.ledger.reset()
+        restored = snapshot.build()
+        restored.ledger.reset()
+        np.testing.assert_array_equal(
+            original.forward_batched(X_CNN, n_samples=6),
+            restored.forward_batched(X_CNN, n_samples=6))
+        assert original.ledger.as_dict() == restored.ledger.as_dict()
+
+    @pytest.mark.parametrize("name,config", [
+        ("variability", lambda: dict(variability=_variability())),
+        ("wire_resistance", lambda: dict(wire_resistance=50.0)),
+        ("read_noise", lambda: dict(variability=_variability(0.01))),
+    ])
+    def test_analog_grids_keep_the_stacked_path(self, name, config,
+                                                gated_calls):
+        _batched_vs_sequential(lambda: _cnn(**config()), X_CNN[:3], 4)
+        assert not gated_calls
+
+    def test_non_finite_input_keeps_the_stacked_path(self, gated_calls):
+        # The gate comes first, so the raw input reaches it: there a
+        # dropped NaN or inf still drives a wordline (0·NaN is NaN),
+        # which only the stacked path models.
+        def deploy():
+            rng = np.random.default_rng(11)
+            return BayesianCim(nn.Sequential(
+                SpatialSpinDropout(2, p=0.3, rng=rng),
+                nn.BinaryConv2d(2, 4, 3, padding=1, rng=rng),
+                nn.SignActivation(),
+                nn.Flatten(),
+                nn.BinaryLinear(4 * 8 * 8, 3, rng=rng)),
+                CimConfig(seed=6), seed=33)
+
+        x = RNG.standard_normal((4, 2, 8, 8))
+        _batched_vs_sequential(deploy, x, 5)
+        assert len(gated_calls) == 1
+        x[1, 0, 3, 4] = np.nan
+        x[3, 1, 6, 6] = np.inf
+        with np.errstate(invalid="ignore"):
+            _batched_vs_sequential(deploy, x, 5, equal_nan=True)
+        assert len(gated_calls) == 1
+
+    def test_mlp_neuron_gates_never_run_gated(self, gated_calls):
+        engine = _batched_vs_sequential(
+            lambda: BayesianCim(
+                make_spindrop_mlp(20, (16,), 4, p=0.3, seed=1),
+                CimConfig(seed=6), seed=33), X_FLAT, 5)
+        assert engine._gated_pair is None
+        assert not gated_calls
+
+
+class TestGridGatedMvm:
+    """``CrossbarGrid.mvm_gated`` against ``mvm`` on each pass's gated
+    drive, with hand-built keep banks."""
+
+    WIDTH = 9           # rows per channel, as a 3×3 conv's K²
+
+    def _grid(self, ledger):
+        # 72 rows in 32-row chunks (two cut channels) and 12 columns in
+        # 5-column arrays; 6-bit ADCs: step 2 on 32 rows, so odd MACs
+        # land on rounding ties.
+        weights = np.where(np.random.default_rng(3).random((72, 12)) < 0.5,
+                           -1.0, 1.0)
+        return CrossbarGrid(weights, _chunk(72, 32), _chunk(12, 5),
+                            CimConfig(seed=0, adc_bits=6), ledger)
+
+    def test_matches_per_pass_mvm(self):
+        rng = np.random.default_rng(4)
+        drive = np.sign(rng.standard_normal((72, 40))).astype(np.float32)
+        drive[rng.random(drive.shape) < 0.2] = 0.0
+        keep = np.array([
+            [1, 1, 1, 1, 1, 1, 1, 1],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 0, 1, 1, 0, 0, 1, 0],
+            [0, 0, 0, 1, 0, 0, 0, 1],            # only the cut channels
+            [0, 1, 0, 0, 1, 1, 0, 1],
+        ], dtype=np.float32)
+        gated_ledger, ref_ledger = OpLedger(), OpLedger()
+        grid, ref = self._grid(gated_ledger), self._grid(ref_ledger)
+        out = np.zeros((len(keep), 12, 40))
+        grid.mvm_gated(grid.channel_partials(drive, self.WIDTH), keep, out)
+        for row, got in zip(keep, out):
+            rows = np.repeat(row, self.WIDTH)[:, None] > 0
+            expected = np.zeros((12, 40))
+            ref.mvm(np.where(rows, drive, np.float32(0.0)), expected)
+            np.testing.assert_array_equal(got, expected)
+        assert gated_ledger.as_dict() == ref_ledger.as_dict()
+        np.testing.assert_array_equal(out[1], 0.0)
+
+    def test_analog_grid_refuses(self):
+        grid = self._grid(OpLedger())
+        grid.exact = False
+        with pytest.raises(ValueError, match="exact"):
+            grid.channel_partials(np.zeros((72, 4), np.float32), self.WIDTH)

@@ -189,7 +189,7 @@ class TestDeployedEquivalence:
             nn.BinaryLinear(4 * 5 * 5, 3, rng=rng),
         )
 
-    def test_batched_equals_sequential_grouped_dilated(self):
+    def test_batched_equals_sequential_grouped_dilated(self, gated_calls):
         x = RNG.standard_normal((3, 2, 10, 10))
         a = BayesianCim(self._model(), CimConfig(seed=6), seed=33)
         b = BayesianCim(self._model(), CimConfig(seed=6), seed=33)
@@ -197,6 +197,8 @@ class TestDeployedEquivalence:
         b.ledger.reset()
         seq = a.mc_forward(x, n_samples=5, batched=False)
         bat = b.mc_forward_batched(x, n_samples=5)
+        # The grouped gate→conv pair ran gated, one call per group.
+        assert len(gated_calls) == 2
         np.testing.assert_array_equal(seq.samples, bat.samples)
         np.testing.assert_array_equal(seq.probs, bat.probs)
         assert a.ledger.as_dict() == b.ledger.as_dict()

@@ -220,15 +220,35 @@ class TestNormalizedSubmit:
             with pytest.raises(ResultTimeout):
                 ticket.result()
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rows_never_queue(self, snapshot_path, bad):
-        x = X.copy()
-        x[2, 5] = bad
+    @pytest.mark.parametrize("bad,match", [
+        pytest.param(np.nan, "request row 2 .*non-finite", id="nan"),
+        pytest.param(np.inf, "request row 2 .*non-finite", id="inf"),
+        pytest.param(-np.inf, "request row 2 .*non-finite", id="-inf"),
+        # Cast to float64, these were served without their imaginary
+        # part, parsed from text, or refused only as "non-finite".
+        pytest.param(X + 1j, "dtype complex128", id="complex"),
+        pytest.param(X.astype(str), "dtype <U", id="str"),
+        pytest.param(np.full(X.shape, None), "dtype object", id="object"),
+        # Queued, these failed at flush inside the engine's mask draw.
+        pytest.param({"n_samples": 2.5}, "n_samples must be an integer",
+                     id="n_samples=2.5"),
+        pytest.param({"n_samples": True}, "n_samples must be an integer",
+                     id="n_samples=True"),
+    ])
+    def test_non_finite_rows_never_queue(self, snapshot_path, bad, match):
+        # Every malformed request is rejected at submit(): nothing is
+        # queued and the valid request before it still resolves.
+        if isinstance(bad, dict):
+            x, kwargs = X, bad
+        elif np.ndim(bad) == 0:
+            x, kwargs = X.copy(), {}
+            x[2, 5] = bad
+        else:
+            x, kwargs = bad, {}
         with serve(snapshot_path, backend="sync") as f:
             queued = f.submit(X[:1])
-            with pytest.raises(ValueError, match="request row 2 .*"
-                                                 "non-finite"):
-                f.submit(x)
+            with pytest.raises(ValueError, match=match):
+                f.submit(x, **kwargs)
             assert f.scheduler.pending_rows == 1
             assert f.scheduler.stats.requests == 1
             f.flush()
@@ -237,13 +257,30 @@ class TestNormalizedSubmit:
         async def run_async():
             async with serve(snapshot_path, backend="async") as f:
                 queued = await f.submit(X[:1])
-                with pytest.raises(ValueError, match="request row 2 "):
-                    await f.submit(x)
+                with pytest.raises(ValueError, match=match):
+                    await f.submit(x, **kwargs)
                 assert f.scheduler.pending_rows == 1
                 assert f.scheduler.stats.requests == 1
                 await f.flush()
                 return (await queued.result()).samples
         assert asyncio.run(run_async()).shape[1] == 1
+
+    @pytest.mark.parametrize("n_samples", [2.5, True, np.bool_(True), "4"])
+    def test_scheduler_default_sample_count_is_an_integer(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            BatchScheduler(_factory(), n_samples=n_samples)
+        scheduler = BatchScheduler(_factory(), n_samples=np.int64(3))
+        ticket = scheduler.submit(X, n_samples=np.int32(2))
+        scheduler.flush()
+        assert ticket.result().samples.shape == (2, 4, 3)
+
+    def test_rejected_malformed_first_request_pins_no_feature_shape(self):
+        scheduler = BatchScheduler(_factory(), n_samples=2)
+        with pytest.raises(ValueError, match="dtype complex128"):
+            scheduler.submit(np.ones((2, 5), dtype=complex))
+        ticket = scheduler.submit(X.astype(np.float32) > 0)   # bool rows
+        scheduler.flush()
+        assert ticket.result().samples.shape[1:] == (4, 3)
 
     def test_rejected_first_request_pins_no_feature_shape(self):
         # The route's feature shape comes from its first *accepted*
