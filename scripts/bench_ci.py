@@ -247,31 +247,30 @@ def _cim_conv_engine() -> BayesianCim:
 
 
 @contextlib.contextmanager
-def _counting_gated_calls():
-    """Count ``CrossbarGrid.mvm_gated`` calls (the gated conv route)
-    made inside the block."""
-    from repro.cim.layers import CrossbarGrid
-
-    real = CrossbarGrid.mvm_gated
+def _counting_calls(owner, name):
+    """Count the calls of method ``name`` of class ``owner`` made
+    inside the block."""
+    real = getattr(owner, name)
     calls = [0]
 
-    def counted(grid, *args, **kwargs):
+    def counted(target, *args, **kwargs):
         calls[0] += 1
-        return real(grid, *args, **kwargs)
+        return real(target, *args, **kwargs)
 
-    CrossbarGrid.mvm_gated = counted
+    setattr(owner, name, counted)
     try:
         yield calls
     finally:
-        CrossbarGrid.mvm_gated = real
+        setattr(owner, name, real)
 
 
 def _gate_engine(name, make_engine, x, n_samples, min_speedup,
-                 check_plan_rebuilds=False, check_gated_route=False):
+                 check_plan_rebuilds=False, check_conv_paths=False):
     """Equivalence check + timed gate for one engine; returns a record.
 
-    ``check_gated_route`` requires the warm batched call to run the
-    Spatial-SpinDrop gate→conv pair as one gated conv."""
+    ``check_conv_paths`` requires the warm batched call to run the
+    Spatial-SpinDrop gate→conv pair as one gated conv and at least one
+    norm→sign(→pool) run as one threshold compare (a sign fold)."""
     check_seq = make_engine()
     check_bat = make_engine()
     check_seq.ledger.reset()
@@ -298,8 +297,11 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
     if check_plan_rebuilds:
         # Warm engines must serve every im2col/pooling geometry from
         # the memoized plan cache: zero index-plan rebuilds from here.
+        from repro.cim.layers import CrossbarGrid, SignFold
+
         builds_before = conv_plan_cache_stats()["builds"]
-        with _counting_gated_calls() as gated:
+        with _counting_calls(CrossbarGrid, "mvm_gated") as gated, \
+                _counting_calls(SignFold, "forward") as folds:
             engine.mc_forward_batched(x, n_samples=n_samples)
         rebuilds = conv_plan_cache_stats()["builds"] - builds_before
         if rebuilds != 0:
@@ -307,12 +309,17 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
                   f"im2col index plans (expected 0)")
             return None
         record["plan_rebuilds_warm"] = rebuilds
-        if check_gated_route:
+        if check_conv_paths:
             if gated[0] == 0:
                 print(f"FAIL: warm {name} engine did not run its gated "
                       f"conv route")
                 return None
+            if folds[0] == 0:
+                print(f"FAIL: warm {name} engine folded no norm→sign "
+                      f"readout")
+                return None
             record["gated_conv_calls_warm"] = gated[0]
+            record["sign_folds_warm"] = folds[0]
     seq_s = _best_of(
         lambda: engine.mc_forward(x, n_samples=n_samples, batched=False),
         REPEATS)
@@ -1077,7 +1084,7 @@ def main() -> int:
     cim_conv = _gate_engine("cim_conv", _cim_conv_engine, x_conv,
                             CIM_CONV_SAMPLES, args.cim_conv_min_speedup,
                             check_plan_rebuilds=True,
-                            check_gated_route=True)
+                            check_conv_paths=True)
     if cim_conv is None:
         return 1
     spindrop["model"] = (f"spindrop_mlp {IN_FEATURES}-"

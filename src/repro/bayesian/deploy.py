@@ -36,8 +36,12 @@ stages work in place on the arrays they allocate.  Both strategies
 share these kernels and stay bit-for-bit comparable.  The batched
 strategy also runs a Spatial-SpinDrop gate and the conv it feeds as
 one gated conv, which computes each input channel's partial MACs once
-per call instead of once per pass.  The ``cim_conv`` entry of
-``scripts/bench_ci.py`` gates all of that in CI.
+per call instead of once per pass, and each normalize→sign readout
+(with the max-pool after it) as one :class:`~repro.cim.layers.SignFold`:
+a per-channel threshold compare, on thresholds derived from the norm's
+own arithmetic, and a pool on bits.  The sequential loop keeps the
+arithmetic stages, the oracle the fold is pinned to.  The ``cim_conv``
+entry of ``scripts/bench_ci.py`` gates all of that in CI.
 """
 
 from __future__ import annotations
@@ -63,10 +67,13 @@ from repro.cim.layers import (
     CimConfig,
     CimConv2d,
     CimNetwork,
+    DigitalMaxPool,
     DigitalScale,
+    DigitalSign,
     DropoutGate,
     FrozenNorm,
     GatedConvInput,
+    SignFold,
 )
 from repro.cim.ledger import OpLedger
 from repro.devices.rng import SpintronicRNG
@@ -83,6 +90,17 @@ class _MaskBinding:
     target: object                 # the CIM stage driven by the mask
     source: object                 # the trained stochastic layer
     software_rng: np.random.Generator
+
+
+def _sign_fold(run: list, bound: dict) -> Optional[SignFold]:
+    """The :class:`SignFold` of a ``FrozenNorm → DigitalSign (→
+    DigitalMaxPool)`` run at the head of ``run``, or None."""
+    if not (len(run) > 1 and isinstance(run[0], FrozenNorm)
+            and isinstance(run[1], DigitalSign) and id(run[0]) not in bound
+            and run[0].sign_foldable()):
+        return None
+    pool = run[-1] if isinstance(run[-1], DigitalMaxPool) else None
+    return SignFold(run[0], pool)
 
 
 class BayesianCim:
@@ -362,6 +380,16 @@ class BayesianCim:
         broadcasts.  ``_gated_pair`` is ``(binding index, conv)`` when
         that stage is a channel-wise :class:`DropoutGate` feeding a
         :class:`CimConv2d`, which the engine may run as one gated conv.
+
+        ``_steps`` is the stage list as the engine runs it, ``(index of
+        the first stage, callable)`` pairs: each :class:`FrozenNorm`
+        that no binding drives, that
+        :meth:`~repro.cim.layers.FrozenNorm.sign_foldable` accepts and
+        that a :class:`DigitalSign` follows, runs with that sign and a
+        :class:`DigitalMaxPool` right after it as one
+        :class:`~repro.cim.layers.SignFold`, in the prefix and the
+        stacked part alike.  No run crosses ``_split``: its stages are
+        not bound.
         """
         bound = {id(binding.target): idx
                  for idx, binding in enumerate(self.bindings)}
@@ -373,6 +401,17 @@ class BayesianCim:
         if (len(pair) == 2 and isinstance(pair[0], DropoutGate)
                 and pair[0].channelwise and isinstance(pair[1], CimConv2d)):
             self._gated_pair = (bound[id(pair[0])], pair[1])
+        self._steps = []
+        idx = 0
+        while idx < len(stages):
+            step = _sign_fold(stages[idx:idx + 3], bound) or stages[idx]
+            self._steps.append((idx, step))
+            idx += getattr(step, "n_stages", 1)
+        # One threshold search serves every fold, at the first call.
+        folds = [step for _, step in self._steps
+                 if isinstance(step, SignFold)]
+        for fold in folds:
+            fold.group = folds
 
     def forward_batched(self, x: np.ndarray, n_samples: int = 20,
                         chunk_passes: Optional[int] = None) -> np.ndarray:
@@ -383,8 +422,8 @@ class BayesianCim:
         totals (crossbar accesses, ADC conversions, RNG cycles, SRAM
         reads).  Mask banks are pre-drawn in sequential RNG order
         (:meth:`_draw_sample_banks`), then the passes run as one
-        flattened ``(T·N, …)`` tensor.  Three
-        refinements keep that equivalence exact while going fast:
+        flattened ``(T·N, …)`` tensor.  Four refinements keep that
+        equivalence exact while going fast:
 
         * the *pass-invariant prefix* — every stage before the first
           stochastic stage — is evaluated once and broadcast across
@@ -399,6 +438,15 @@ class BayesianCim:
           pass-invariant images, and each pass's crossbar MAC is the
           kept channels' sum (:meth:`CimConv2d.forward` with ``keep``),
           instead of gathering and multiplying T·N gated images;
+        * each ``FrozenNorm → DigitalSign (→ DigitalMaxPool)`` run of
+          stages fixed by :meth:`_plan_stacking`, in the prefix and the
+          stacked part alike, runs as one
+          :class:`~repro.cim.layers.SignFold`: ``x >= lo`` (``x <= hi``
+          where γ < 0) per channel, an OR over each pool window of the
+          bits, and the ±1 output built at the pooled size, booking what
+          the three stages book.  The thresholds come from the norm's
+          own arithmetic (:meth:`FrozenNorm.sign_thresholds`), in one
+          search for every fold of the engine at its first call;
         * when cycle-to-cycle read noise is enabled the chain is no
           longer pass-deterministic, so the engine drops to one pass
           per stacked call and disables prefix memoization — the noise
@@ -425,23 +473,24 @@ class BayesianCim:
         split, gated = self._split, self._gated_pair
         if self._has_read_noise():
             chunk, split, gated = 1, 0, None
-        stages = self.network.stages
 
         # Pass-invariant prefix: run once, book T-fold.
         h = x
         if split > 0:
             with self.ledger.amortized(n_samples):
-                for stage in stages[:split]:
-                    h = stage(h)
+                for idx, step in self._steps:
+                    if idx < split:
+                        h = step(h)
         # With a NaN or inf input the stacked gate's 0·NaN still drives
         # a wordline; only the stacked path models that.
         if gated is not None and gated[1].exact and np.isfinite(h).all():
             gated_bank, conv = gated
             h = GatedConvInput(conv, h)
-            rest = stages[split + 2:]
+            start = split + 2
         else:
             gated = None
-            rest = stages[split:]
+            start = split
+        rest = [step for idx, step in self._steps if idx >= start]
 
         outs = []
         try:
@@ -459,8 +508,8 @@ class BayesianCim:
                     flat = np.broadcast_to(
                         h[None], (t1 - t0,) + h.shape).reshape(
                             ((t1 - t0) * batch,) + h.shape[1:])
-                for stage in rest:
-                    flat = stage(flat)
+                for step in rest:
+                    flat = step(flat)
                 outs.append(flat.reshape((t1 - t0, batch) + flat.shape[1:]))
         finally:
             self._clear()

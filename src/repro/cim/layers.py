@@ -14,6 +14,7 @@ energy model prices to regenerate Table I.
 
 from __future__ import annotations
 
+import copy
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -566,6 +567,33 @@ class GatedConvInput:
         self.out_hw = (0, 0)
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+_ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_SHIFT = np.uint64(63)
+_ONE = np.uint64(1)
+
+
+def _float_keys(x: np.ndarray) -> np.ndarray:
+    """Order-preserving uint64 keys of float64 values: neighbouring
+    non-NaN floats get neighbouring keys, −0.0 the one below +0.0, and
+    ``key(−x) == ~key(x)``.  :func:`_key_floats` inverts it."""
+    bits = np.asarray(x, dtype=np.float64).view(np.uint64)
+    return bits ^ ((bits >> _SHIFT) * _ALL_BITS | _SIGN_BIT)
+
+
+def _key_floats(keys: np.ndarray) -> np.ndarray:
+    return (keys ^ (((keys >> _SHIFT) ^ _ONE) * _ALL_BITS | _SIGN_BIT)
+            ).view(np.float64)
+
+
+_KEY_MIN, _KEY_MAX = _float_keys(np.array([-np.inf, np.inf]))
+# Key offsets a threshold search probes in one evaluation: doubling
+# distances from the root (2^0 … 2^62), then evenly spaced steps.
+_LADDER = _ONE << np.arange(63, dtype=np.uint64)
+_DOWN_UP = np.array([[-np.inf], [np.inf]])
+_SPREAD = np.arange(1, 64, dtype=np.uint64)
+
+
 class FrozenNorm(CimLayer):
     """Batch/inverted normalization frozen to running statistics.
 
@@ -576,6 +604,13 @@ class FrozenNorm(CimLayer):
     ``gamma_multiplier`` / ``beta_multiplier`` — scalars for one MC
     pass, or 1-D arrays of per-row values (one entry per sample of a
     flattened ``(T·N, …)`` batch) in the batched MC engine.
+
+    A :class:`DigitalSign` behind a norm reads one bit per feature, and
+    that bit is a threshold compare on the norm's input:
+    :meth:`sign_thresholds` derives the thresholds from this norm's own
+    arithmetic, and the batched MC engine runs the pair as one
+    :class:`SignFold`.  :meth:`forward` stays the arithmetic, which the
+    sequential loop and SpinBayes run.
     """
 
     def __init__(self, mean: np.ndarray, var: np.ndarray,
@@ -619,12 +654,20 @@ class FrozenNorm(CimLayer):
     @staticmethod
     def _per_row(multiplier, x: np.ndarray):
         """Align a per-row multiplier bank against the batch axis."""
-        if np.ndim(multiplier) == 0:
+        if isinstance(multiplier, float) or np.ndim(multiplier) == 0:
             return multiplier
         return np.asarray(multiplier, dtype=np.float64).reshape(
             (-1,) + (1,) * (x.ndim - 1))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        out = self._normalize(x)
+        self.ledger.add("digital_mac", x.size)
+        return out
+
+    def _normalize(self, x: np.ndarray) -> np.ndarray:
+        """The normalized ``x``, unbooked: the one place the order of
+        the per-element operations lives, shared by :meth:`forward` and
+        :meth:`sign_thresholds`."""
         shape = self._shape(x)
         mean = self.mean.reshape(shape)
         std = self.std.reshape(shape)
@@ -659,8 +702,171 @@ class FrozenNorm(CimLayer):
                 out *= gamma
             if beta is not None:
                 out += beta
-        self.ledger.add("digital_mac", x.size)
         return out
+
+    def sign_foldable(self) -> bool:
+        """Whether :meth:`sign_thresholds` exists: μ, σ and any γ and β
+        of one shape, every one finite, every σ positive, no γ zero, and
+        the γ/β multipliers at 1 (as on a norm no affine dropout
+        drives)."""
+        params = [p for p in (self.mean, self.std, self.gamma, self.beta)
+                  if p is not None]
+        return bool(isinstance(self.gamma_multiplier, float)
+                    and isinstance(self.beta_multiplier, float)
+                    and self.gamma_multiplier == 1.0 == self.beta_multiplier
+                    and len({p.shape for p in params}) == 1
+                    and np.isfinite(np.concatenate(
+                        [p.ravel() for p in params])).all()
+                    and (self.std > 0).all()
+                    and (self.gamma is None or self.gamma.all()))
+
+    def sign_thresholds(self):
+        """Per-feature thresholds of ``DigitalSign`` on this norm's output.
+
+        Returns ``(lo, hi)``: on a feature with γ > 0 (or no γ) the sign
+        reads +1 exactly where ``x >= lo``, on one with γ < 0 exactly
+        where ``x <= hi``; the other array holds NaN on that feature, a
+        bound no ``x`` meets, and is None when no feature uses it.  A
+        NaN ``x`` reads −1 either way, as ``NaN >= 0`` is false.  (A
+        feature that read +1 on every non-NaN ``x`` would get a ``∓inf``
+        bound, one that read −1 on all a NaN one; with finite parameters
+        ±inf normalize to ±inf, so neither occurs.)
+
+        Why it is exact: each step of :meth:`_normalize` is one
+        correctly rounded IEEE operation with a constant, and rounding
+        is monotone, so each step is non-decreasing in ``x`` except a
+        multiplication by γ < 0, which reverses the order.  On the
+        ordered non-NaN float64 values, ±inf included, the output is
+        therefore monotone per feature, and ``>= 0`` holds on an upper
+        (γ > 0) or lower (γ < 0) set of them, cut at one float.  −0.0
+        and +0.0 compare equal and normalize to equal reals, so the cut
+        never separates them.
+
+        Returns None where that argument fails, and the norm must keep
+        its arithmetic: a γ of zero (the output is constant for finite
+        ``x`` and NaN at ±inf), a σ that is not positive, or a
+        non-finite μ, σ, γ or β; and on a norm whose γ/β multipliers
+        are not 1, which an affine dropout drives per pass.
+
+        The search evaluates :meth:`_normalize` itself.  One evaluation,
+        all features at once, reads the analytic root, ``μ − β·σ/γ`` (or
+        ``(μ − β)/γ`` in inverted order), and the two floats either side
+        of it, which settles most features; :meth:`_search` finds the
+        rest.
+        """
+        return sign_thresholds_of([self])[0] if self.sign_foldable() else None
+
+    def _sign_cut(self):
+        """Per feature, the cut float, and which features have γ < 0
+        (None if none does), for a norm :meth:`sign_foldable` accepts
+        whose parameters are flat."""
+        mean, std = self.mean, self.std
+        gamma = 1.0 if self.gamma is None else self.gamma
+        beta = 0.0 if self.beta is None else self.beta
+        with np.errstate(all="ignore"):
+            root = ((mean - beta) / gamma if self.inverted
+                    else mean - beta * std / gamma)
+            # The root and two floats either side of it, ascending.
+            probe = np.empty((5,) + root.shape)
+            probe[2] = root
+            np.nextafter(root, _DOWN_UP, out=probe[1::2])
+            np.nextafter(probe[1::2], _DOWN_UP, out=probe[0::4])
+            plus = self._normalize(probe) >= 0
+        falling = None if self.gamma is None else self.gamma < 0
+        if falling is not None and not falling.any():
+            falling = None
+        # Reads are monotone down a column, so the window holds the cut
+        # where its ends differ: the first +1 probe of a rising feature,
+        # the last of a falling one.
+        cut = np.where(plus, probe, np.inf).min(axis=0)
+        if falling is not None:
+            cut = np.where(falling,
+                           np.where(plus, probe, -np.inf).max(axis=0), cut)
+        open_ = np.flatnonzero(plus[0] == plus[-1])
+        if open_.size:
+            # The rest search on this norm cut down to those features:
+            # the same arithmetic on fewer columns.
+            sub = copy.copy(self)
+            for name in ("mean", "std", "gamma", "beta"):
+                if getattr(self, name) is not None:
+                    setattr(sub, name, getattr(self, name)[open_])
+            cut[open_] = sub._search(
+                root[open_], plus[2, open_],
+                np.zeros(open_.size, bool) if falling is None
+                else falling[open_])
+        return cut, falling
+
+    def _search(self, root, plus, falling):
+        """The cut of each feature from its root and the root's read.
+
+        Runs on order-preserving integer keys of the floats, flipped on
+        falling features so that every feature reads −1 below its cut
+        key and +1 from it on.  A bracket starts between the root and
+        the end it reads towards, takes one evaluation of a ladder of
+        doubling distances from the root, then narrows 64-fold per
+        evaluation until it holds adjacent keys."""
+        # XOR with all ones maps key(x) to key(−x).
+        flip = falling * _ALL_BITS
+        start = _float_keys(root) ^ flip
+        # Below −inf every feature reads −1, above +inf +1: the virtual
+        # keys _KEY_MIN − 1 and _KEY_MAX + 1 close either end.
+        lo = np.where(plus, _KEY_MIN - _ONE, start)
+        hi = np.where(plus, start, _KEY_MAX + _ONE)
+        span = hi - lo
+        ladder = np.minimum(_LADDER[:, None], span - _ONE)
+        probes = np.where(plus, hi - ladder[::-1], lo + ladder)
+        while True:
+            with np.errstate(all="ignore"):
+                reads = self._normalize(_key_floats(probes ^ flip)) >= 0
+            # Monotone down a column: its count of −1s indexes its
+            # first +1.
+            first = np.count_nonzero(~reads, axis=0)
+            cols = np.arange(first.size)
+            last = len(probes) - 1
+            lo = np.where(first > 0, probes[first - 1, cols], lo)
+            hi = np.where(first <= last,
+                          probes[np.minimum(first, last), cols], hi)
+            span = hi - lo
+            if span.max() <= _ONE:
+                break
+            step = np.maximum(span >> np.uint64(6), _ONE)
+            probes = lo + np.minimum(step * _SPREAD[:, None], span - _ONE)
+        return np.where(hi > _KEY_MAX, np.nan, _key_floats(hi ^ flip))
+
+
+def sign_thresholds_of(norms: Sequence[FrozenNorm]) -> list:
+    """:meth:`FrozenNorm.sign_thresholds` of norms that
+    :meth:`FrozenNorm.sign_foldable` accepts, in order.
+
+    Norms of one arithmetic form (order, and whether γ and β are
+    present) are searched as one norm over their concatenated
+    features: the same per-feature arithmetic, evaluated in one pass.
+    """
+    forms: dict = {}
+    for norm in norms:
+        form = (norm.inverted, norm.gamma is None, norm.beta is None)
+        forms.setdefault(form, []).append(norm)
+    found = {}
+    for group in forms.values():
+        merged = copy.copy(group[0])
+        for name in ("mean", "std", "gamma", "beta"):
+            if getattr(merged, name) is not None:
+                setattr(merged, name, np.concatenate(
+                    [getattr(norm, name).ravel() for norm in group]))
+        cuts, falling = merged._sign_cut()
+        end = 0
+        for norm in group:
+            start, end = end, end + norm.mean.size
+            cut = cuts[start:end]
+            fall = None if falling is None else falling[start:end]
+            if fall is None or not fall.any():
+                found[id(norm)] = (cut, None)
+            elif fall.all():
+                found[id(norm)] = (None, cut)
+            else:
+                found[id(norm)] = (np.where(fall, np.nan, cut),
+                                   np.where(fall, cut, np.nan))
+    return [found[id(norm)] for norm in norms]
 
 
 class DropoutGate(CimLayer):
@@ -770,7 +976,12 @@ class DigitalScale(CimLayer):
 
 
 class DigitalSign(CimLayer):
-    """Sign activation taken by sense amplifiers (1-bit readout)."""
+    """Sign activation taken by sense amplifiers (1-bit readout).
+
+    ``x >= 0`` reads +1, anything else (NaN included) −1.  Behind a
+    :class:`FrozenNorm`, the batched MC engine folds the pair (and a
+    :class:`DigitalMaxPool` after it) into one :class:`SignFold`.
+    """
 
     def state_dict(self):
         return {"type": "digital_sign"}, {}
@@ -806,6 +1017,11 @@ class DigitalReLU(CimLayer):
 
 
 class DigitalMaxPool(CimLayer):
+    """Max over each ``kernel``×``kernel`` window of ``(N, C, H, W)``
+    (a remainder row or column is dropped).  On the ±1 output of a
+    :class:`DigitalSign` a window's max is +1 exactly when one of its
+    values is, which is how a :class:`SignFold` pools its bits."""
+
     def __init__(self, kernel: int, ledger: OpLedger):
         super().__init__(ledger)
         self.kernel = kernel
@@ -819,20 +1035,82 @@ class DigitalMaxPool(CimLayer):
         return cls(meta["kernel"], ledger)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            raise ValueError("DigitalMaxPool expects (N, C, H, W)")
-        k = self.kernel
-        h2, w2 = x.shape[2] // k, x.shape[3] // k
+        out = _pool_windows(x, self.kernel, np.maximum)
         self.ledger.add("digital_op", x.size)
-        # Pairwise maximum over the k² strided window slices: an order
-        # of magnitude faster than a multi-axis reduce over the 6-D
-        # window view on pass-stacked batches, and exact either way
-        # (max is order-independent).
-        out: Optional[np.ndarray] = None
-        for u in range(k):
-            for v in range(k):
-                s = x[:, :, u:h2 * k:k, v:w2 * k:k]
-                out = s.copy() if out is None else np.maximum(out, s, out=out)
+        return out
+
+
+def _pool_windows(x: np.ndarray, k: int, combine) -> np.ndarray:
+    """Reduce each k×k window of ``(N, C, H, W)`` with ``combine``.
+
+    Pairwise over the k² strided window slices: an order of magnitude
+    faster than a multi-axis reduce over the 6-D window view on
+    pass-stacked batches, and exact for an order-independent
+    ``combine`` (``np.maximum`` on floats, ``np.logical_or`` on bits).
+    """
+    if x.ndim != 4:
+        raise ValueError("DigitalMaxPool expects (N, C, H, W)")
+    h2, w2 = x.shape[2] // k, x.shape[3] // k
+    out: Optional[np.ndarray] = None
+    for u in range(k):
+        for v in range(k):
+            s = x[:, :, u:h2 * k:k, v:w2 * k:k]
+            out = s.copy() if out is None else combine(out, s, out=out)
+    return out
+
+
+class SignFold(CimLayer):
+    """A ``FrozenNorm → DigitalSign (→ DigitalMaxPool)`` run as one
+    per-feature compare: the readout a binary layer's periphery takes
+    as one comparator per output channel.
+
+    ``bits = x >= lo`` (``x <= hi`` on features whose γ < 0), with the
+    thresholds of :meth:`FrozenNorm.sign_thresholds`, derived at the
+    first call; a pool ORs the bits of each window, since a max over
+    ±1 values is +1 exactly when one of them is; and the ±1 float64
+    output is built once, at the pooled size.  Bit for bit the three
+    stages' output, with what they book, each on its own input:
+    ``digital_mac``, ``sa_read`` and ``digital_op``.  Only a norm that
+    :meth:`FrozenNorm.sign_foldable` accepts folds; the batched MC
+    engine picks the runs (``BayesianCim._plan_stacking``) and derives
+    the thresholds of all its folds in one search
+    (:func:`sign_thresholds_of`, through ``group``).
+    """
+
+    def __init__(self, norm: FrozenNorm,
+                 pool: Optional[DigitalMaxPool] = None):
+        super().__init__(norm.ledger)
+        self.norm = norm
+        self.pool = pool
+        self.n_stages = 2 if pool is None else 3
+        self.thresholds: Optional[tuple] = None
+        # The folds whose thresholds one search derives, at the first
+        # call of any of them.
+        self.group: List[SignFold] = [self]
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.thresholds is None:
+            bounds = sign_thresholds_of([fold.norm for fold in self.group])
+            for fold, thresholds in zip(self.group, bounds):
+                fold.thresholds = thresholds
+        lo, hi = self.thresholds
+        # Broadcast exactly as the norm broadcasts its parameters.
+        shape = self.norm._shape(x)
+        if lo is None:
+            bits = np.less_equal(x, hi.reshape(shape))
+        else:
+            bits = np.greater_equal(x, lo.reshape(shape))
+            if hi is not None:
+                bits |= np.less_equal(x, hi.reshape(shape))
+        self.ledger.add("digital_mac", x.size)
+        self.ledger.add("sa_read", bits.size)
+        if self.pool is not None:
+            size = bits.size
+            bits = _pool_windows(bits, self.pool.kernel, np.logical_or)
+            self.ledger.add("digital_op", size)
+        out = bits.astype(np.float64)
+        out *= 2.0
+        out -= 1.0
         return out
 
 

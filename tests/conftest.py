@@ -13,13 +13,16 @@ The batched MC engine runs a channel-wise dropout gate and the conv
 it feeds as one gated conv on exact grids
 (:meth:`CrossbarGrid.mvm_gated`, spied by ``gated_calls``);
 ``force_stacked(engine)`` sends that pair down the stacked path
-instead.
+instead.  It also runs each ``FrozenNorm → DigitalSign (→
+DigitalMaxPool)`` run as one threshold compare
+(:meth:`SignFold.forward`, spied by ``sign_fold_calls``);
+``force_stages(engine)`` runs the three arithmetic stages instead.
 """
 
 import pytest
 
 from repro.cim import XnorCrossbar
-from repro.cim.layers import CrossbarGrid
+from repro.cim.layers import CrossbarGrid, SignFold
 from repro.tensor import bitpack
 
 
@@ -55,6 +58,17 @@ def force_stacked():
     return force
 
 
+@pytest.fixture
+def force_stages():
+    """``force_stages(engine)`` runs a deployed ``BayesianCim``'s
+    norm→sign(→pool) runs as their arithmetic stages, as the sequential
+    oracle does, instead of as sign folds."""
+    def force(engine):
+        engine._steps = list(enumerate(engine.network.stages))
+        return engine
+    return force
+
+
 def _spy(monkeypatch, name, owner=XnorCrossbar):
     calls = []
     real = getattr(owner, name)
@@ -83,3 +97,9 @@ def analog_calls(monkeypatch):
 def gated_calls(monkeypatch):
     """The grid of every ``CrossbarGrid.mvm_gated`` call, in order."""
     return _spy(monkeypatch, "mvm_gated", CrossbarGrid)
+
+
+@pytest.fixture
+def sign_fold_calls(monkeypatch):
+    """The fold of every ``SignFold.forward`` call, in order."""
+    return _spy(monkeypatch, "forward", SignFold)

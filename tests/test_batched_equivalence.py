@@ -33,13 +33,18 @@ from repro.cim import (
     MappingStrategy,
     OpLedger,
 )
-from repro.cim.layers import CrossbarGrid
+from repro.cim.layers import CrossbarGrid, FrozenNorm, SignFold
 from repro.cim.mapping import _chunk
 from repro.devices import (
     DefectModel,
     DefectRates,
     DeviceVariability,
     VariabilityParams,
+)
+from repro.experiments.common import (
+    TrainConfig,
+    digits_dataset,
+    train_classifier,
 )
 
 RNG = np.random.default_rng(42)
@@ -556,3 +561,201 @@ class TestGridGatedMvm:
         grid.exact = False
         with pytest.raises(ValueError, match="exact"):
             grid.channel_partials(np.zeros((72, 4), np.float32), self.WIDTH)
+
+
+# ----------------------------------------------------------------------
+# The sign fold: FrozenNorm → DigitalSign (→ DigitalMaxPool) as one
+# threshold compare
+# ----------------------------------------------------------------------
+X_MLP = RNG.standard_normal((6, 256))
+
+
+def _mlp(**config):
+    """The perfbench SpinDrop MLP: a 128-feature norm in the prefix, a
+    64-feature one behind the first dropout bank."""
+    model = make_spindrop_mlp(256, (128, 64), 10, p=0.25, seed=0)
+    return BayesianCim(model, CimConfig(seed=0, **config), seed=0)
+
+
+def _trained_mlp():
+    """A SpinDrop MLP trained for two epochs on digits (γ ≠ 1, β ≠ 0,
+    μ and σ away from 0 and 1), with an inverted norm appended and two
+    γ of every norm flipped negative; and test inputs."""
+    data = digits_dataset(n_samples=300, seed=3)
+    model = train_classifier(
+        make_spindrop_mlp(data.n_features, (32, 16), data.n_classes,
+                          p=0.2, seed=3),
+        data, TrainConfig(epochs=2, mc_samples=2))
+    rng = np.random.default_rng(12)
+    inverted = nn.InvertedNorm(data.n_classes)
+    inverted.gamma.data = rng.uniform(0.5, 2.0, data.n_classes)
+    inverted.beta.data = rng.standard_normal(data.n_classes)
+    inverted.running_mean = rng.standard_normal(data.n_classes)
+    inverted.running_var = rng.uniform(0.5, 2.0, data.n_classes)
+    layers = list(model) + [inverted, nn.SignActivation(),
+                            SpinDropout(data.n_classes, p=0.2, rng=rng),
+                            nn.BinaryLinear(data.n_classes, 4, rng=rng)]
+    for layer in layers:
+        if isinstance(layer, (nn.BatchNorm1d, nn.InvertedNorm)):
+            layer.gamma.data[[1, 4]] *= -1.0
+    return nn.Sequential(*layers), data.x_test[:8]
+
+
+def _grouped_dilated_cnn():
+    rng = np.random.default_rng(8)
+    return nn.Sequential(
+        nn.BinaryConv2d(2, 4, 3, padding=2, dilation=2, groups=2,
+                        binarize_input=True, rng=rng),
+        nn.BatchNorm2d(4),
+        nn.SignActivation(),
+        nn.MaxPool2d(2),
+        SpatialSpinDropout(4, p=0.3, ideal=True, rng=rng),
+        nn.BinaryConv2d(4, 4, 3, padding=1, groups=2, dilation=2, rng=rng),
+        nn.BatchNorm2d(4),
+        nn.SignActivation(),
+        nn.MaxPool2d(2),
+        nn.Flatten(),
+        nn.BinaryLinear(4 * 2 * 2, 3, rng=rng))
+
+
+def _norms(engine):
+    return [stage for stage in engine.network.stages
+            if isinstance(stage, FrozenNorm)]
+
+
+def _folded(calls):
+    return {id(fold.norm) for fold in calls}
+
+
+class TestSignFold:
+    @pytest.mark.parametrize("make,x", [(_cnn, X_CNN), (_mlp, X_MLP)],
+                             ids=["cnn", "mlp"])
+    def test_perfbench_engines_fold_every_norm(self, make, x,
+                                               sign_fold_calls):
+        engine = _batched_vs_sequential(make, x, 20)
+        # The prefix norm and the stacked one, once each.
+        assert len(sign_fold_calls) == 2
+        assert _folded(sign_fold_calls) == {id(n) for n in _norms(engine)}
+        pools = [fold.pool for fold in sign_fold_calls]
+        assert all((pool is not None) == (make is _cnn) for pool in pools)
+
+    def test_trained_norms_with_negative_gammas(self, sign_fold_calls):
+        model, x = _trained_mlp()
+        engine = _batched_vs_sequential(
+            lambda: BayesianCim(model, CimConfig(seed=6), seed=33), x, 9)
+        norms = _norms(engine)
+        assert len(norms) == 3 and norms[-1].inverted
+        assert _folded(sign_fold_calls) == {id(n) for n in norms}
+        for fold in sign_fold_calls:
+            # Features 1 and 4 read +1 below their threshold.
+            lo, hi = fold.thresholds
+            assert np.isnan(lo[[1, 4]]).all()
+            assert np.isnan(np.delete(hi, [1, 4])).all()
+            assert not np.isnan(np.delete(lo, [1, 4])).any()
+
+    def test_chunked_passes(self, sign_fold_calls):
+        _batched_vs_sequential(_cnn, X_CNN, 20, chunk_passes=6)
+        assert len(sign_fold_calls) == 1 + 4      # prefix, 4 chunks
+
+    def test_read_noise_folds_every_pass(self, sign_fold_calls):
+        # Read noise drops the prefix (split 0) and runs one pass per
+        # call; both norms then fold on every pass.
+        engine = _batched_vs_sequential(
+            lambda: _cnn(variability=_variability(0.01)), X_CNN[:3], 4)
+        assert len(sign_fold_calls) == 2 * 4
+        assert _folded(sign_fold_calls) == {id(n) for n in _norms(engine)}
+
+    def test_non_finite_input(self, sign_fold_calls):
+        x = X_MLP.copy()
+        x[1, 7] = np.nan
+        x[2] = np.inf
+        x[3, :100] = -np.inf
+        x[4] = np.nan
+        with np.errstate(invalid="ignore"):
+            _batched_vs_sequential(_mlp, x, 6, equal_nan=True)
+        assert len(sign_fold_calls) == 2
+
+    def test_snapshot_restored_engine(self, tmp_path, sign_fold_calls):
+        path = str(tmp_path / "mlp")
+        DeploymentSnapshot.capture(_mlp()).save(path)
+        snapshot = DeploymentSnapshot.load(path)
+        _batched_vs_sequential(snapshot.build, X_MLP, 6)
+        assert len(sign_fold_calls) == 2
+        original, restored = _mlp(), snapshot.build()
+        original.ledger.reset()
+        restored.ledger.reset()
+        np.testing.assert_array_equal(
+            original.forward_batched(X_MLP, n_samples=6),
+            restored.forward_batched(X_MLP, n_samples=6))
+        assert original.ledger.as_dict() == restored.ledger.as_dict()
+
+    @pytest.mark.parametrize("make,x", [
+        (lambda: _cnn(max_rows=32), X_CNN),
+        (lambda: BayesianCim(_grouped_dilated_cnn(), CimConfig(seed=6),
+                             seed=33), RNG.standard_normal((3, 2, 14, 14))),
+    ], ids=["max_rows_32", "grouped_dilated"])
+    def test_cut_and_grouped_convs(self, make, x, sign_fold_calls,
+                                   gated_calls):
+        _batched_vs_sequential(make, x, 5)
+        assert len(sign_fold_calls) == 2
+        assert all(fold.pool is not None for fold in sign_fold_calls)
+        assert gated_calls
+
+    def test_affine_bound_norm_keeps_its_stages(self, sign_fold_calls):
+        # The affine dropout's norm changes per pass: its run keeps the
+        # arithmetic stages, while the two batch norms fold.
+        engine = _batched_vs_sequential(
+            lambda: BayesianCim(_mixed_model(), CimConfig(seed=6), seed=33),
+            X_IMG, 5)
+        bound = [b.target for b in engine.bindings if b.kind == "affine"]
+        assert len(bound) == 1
+        norms = _norms(engine)
+        assert _folded(sign_fold_calls) == {
+            id(n) for n in norms if n is not bound[0]}
+        assert len(norms) == 3
+
+    @pytest.mark.parametrize("param,value", [
+        ("gamma", 0.0), ("std", 0.0), ("std", -1.0), ("mean", np.inf),
+        ("beta", np.nan)])
+    def test_uncovered_norm_keeps_its_stages(self, param, value,
+                                             sign_fold_calls):
+        def deploy():
+            engine = _mlp()
+            norm = _norms(engine)[1]
+            getattr(norm, param)[5] = value
+            engine._plan_stacking()
+            return engine
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            engine = _batched_vs_sequential(deploy, X_MLP, 4,
+                                            equal_nan=True)
+        assert _folded(sign_fold_calls) == {id(_norms(engine)[0])}
+
+    def test_matches_the_arithmetic_stages(self, sign_fold_calls,
+                                           force_stages):
+        folded, staged = _cnn(), force_stages(_cnn())
+        a = folded.forward_batched(X_CNN, n_samples=9)
+        assert len(sign_fold_calls) == 2
+        b = staged.forward_batched(X_CNN, n_samples=9)
+        assert len(sign_fold_calls) == 2
+        np.testing.assert_array_equal(a, b)
+        assert folded.ledger.as_dict() == staged.ledger.as_dict()
+
+    def test_one_search_per_engine(self, monkeypatch):
+        searches = []
+        real = FrozenNorm._sign_cut
+
+        def spy(norm):
+            searches.append(norm.mean.size)
+            return real(norm)
+
+        monkeypatch.setattr(FrozenNorm, "_sign_cut", spy)
+        engine = _mlp()
+        assert not searches          # derived at the first call
+        engine.forward_batched(X_MLP, n_samples=3)
+        engine.forward_batched(X_MLP, n_samples=3)
+        # Both norms share one arithmetic form: one search, 192 wide.
+        assert searches == [128 + 64]
+        folds = [step for _, step in engine._steps
+                 if isinstance(step, SignFold)]
+        assert len(folds) == 2 and all(f.thresholds for f in folds)
