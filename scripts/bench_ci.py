@@ -11,7 +11,9 @@ through the original sequential per-pass loop and once through the
 batched engine.  For each engine it verifies the two paths are
 bit-for-bit identical (samples, and ledger totals for the deployed
 engines; the segmentation and cim_conv gates additionally check that
-a warm engine performs zero im2col index-plan rebuilds), writes the
+a warm engine performs zero im2col index-plan rebuilds, and the warm
+batched call of every deployed engine must run at least one
+norm→sign readout as a sign fold, recorded as ``sign_folds_warm``), writes the
 measurements to ``BENCH_mc_forward.json``, and exits non-zero if any
 batched path is not at least its per-engine minimum speedup faster
 (``--min-speedup``, default 3×; the spindrop MLP and the deployed
@@ -268,9 +270,10 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
                  check_plan_rebuilds=False, check_conv_paths=False):
     """Equivalence check + timed gate for one engine; returns a record.
 
-    ``check_conv_paths`` requires the warm batched call to run the
-    Spatial-SpinDrop gate→conv pair as one gated conv and at least one
-    norm→sign(→pool) run as one threshold compare (a sign fold)."""
+    The warm batched call must run at least one norm→sign(→pool) run
+    as one threshold compare (a sign fold).  ``check_conv_paths`` also
+    requires it to run the Spatial-SpinDrop gate→conv pair as one
+    gated conv."""
     check_seq = make_engine()
     check_bat = make_engine()
     check_seq.ledger.reset()
@@ -294,32 +297,31 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
         "min_speedup": min_speedup,
         "bit_exact": True,
     }
+    from repro.cim.layers import CrossbarGrid, SignFold
+
+    builds_before = conv_plan_cache_stats()["builds"]
+    with _counting_calls(CrossbarGrid, "mvm_gated") as gated, \
+            _counting_calls(SignFold, "forward") as folds:
+        engine.mc_forward_batched(x, n_samples=n_samples)
+    if folds[0] == 0:
+        print(f"FAIL: warm {name} engine folded no norm→sign readout")
+        return None
+    record["sign_folds_warm"] = folds[0]
     if check_plan_rebuilds:
         # Warm engines must serve every im2col/pooling geometry from
         # the memoized plan cache: zero index-plan rebuilds from here.
-        from repro.cim.layers import CrossbarGrid, SignFold
-
-        builds_before = conv_plan_cache_stats()["builds"]
-        with _counting_calls(CrossbarGrid, "mvm_gated") as gated, \
-                _counting_calls(SignFold, "forward") as folds:
-            engine.mc_forward_batched(x, n_samples=n_samples)
         rebuilds = conv_plan_cache_stats()["builds"] - builds_before
         if rebuilds != 0:
             print(f"FAIL: warm {name} engine rebuilt {rebuilds} "
                   f"im2col index plans (expected 0)")
             return None
         record["plan_rebuilds_warm"] = rebuilds
-        if check_conv_paths:
-            if gated[0] == 0:
-                print(f"FAIL: warm {name} engine did not run its gated "
-                      f"conv route")
-                return None
-            if folds[0] == 0:
-                print(f"FAIL: warm {name} engine folded no norm→sign "
-                      f"readout")
-                return None
-            record["gated_conv_calls_warm"] = gated[0]
-            record["sign_folds_warm"] = folds[0]
+    if check_conv_paths:
+        if gated[0] == 0:
+            print(f"FAIL: warm {name} engine did not run its gated "
+                  f"conv route")
+            return None
+        record["gated_conv_calls_warm"] = gated[0]
     seq_s = _best_of(
         lambda: engine.mc_forward(x, n_samples=n_samples, batched=False),
         REPEATS)

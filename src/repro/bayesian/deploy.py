@@ -39,9 +39,11 @@ one gated conv, which computes each input channel's partial MACs once
 per call instead of once per pass, and each normalize→sign readout
 (with the max-pool after it) as one :class:`~repro.cim.layers.SignFold`:
 a per-channel threshold compare, on thresholds derived from the norm's
-own arithmetic, and a pool on bits.  The sequential loop keeps the
-arithmetic stages, the oracle the fold is pinned to.  The ``cim_conv``
-entry of ``scripts/bench_ci.py`` gates all of that in CI.
+own arithmetic, and a pool on bits.  The stage plan comes from
+:func:`~repro.cim.layers.plan_steps`, which the SpinBayes engine
+shares.  The sequential loop keeps the arithmetic stages, the oracle
+the fold is pinned to.  The ``cim_conv`` entry of
+``scripts/bench_ci.py`` gates all of that in CI.
 """
 
 from __future__ import annotations
@@ -67,13 +69,12 @@ from repro.cim.layers import (
     CimConfig,
     CimConv2d,
     CimNetwork,
-    DigitalMaxPool,
     DigitalScale,
-    DigitalSign,
     DropoutGate,
     FrozenNorm,
     GatedConvInput,
-    SignFold,
+    has_read_noise,
+    plan_steps,
 )
 from repro.cim.ledger import OpLedger
 from repro.devices.rng import SpintronicRNG
@@ -90,17 +91,6 @@ class _MaskBinding:
     target: object                 # the CIM stage driven by the mask
     source: object                 # the trained stochastic layer
     software_rng: np.random.Generator
-
-
-def _sign_fold(run: list, bound: dict) -> Optional[SignFold]:
-    """The :class:`SignFold` of a ``FrozenNorm → DigitalSign (→
-    DigitalMaxPool)`` run at the head of ``run``, or None."""
-    if not (len(run) > 1 and isinstance(run[0], FrozenNorm)
-            and isinstance(run[1], DigitalSign) and id(run[0]) not in bound
-            and run[0].sign_foldable()):
-        return None
-    pool = run[-1] if isinstance(run[-1], DigitalMaxPool) else None
-    return SignFold(run[0], pool)
 
 
 class BayesianCim:
@@ -364,11 +354,6 @@ class BayesianCim:
             return 2
         return binding.source.n_features  # vi: one draw per scale element
 
-    def _has_read_noise(self) -> bool:
-        """Whether the analog chain draws fresh randomness per forward."""
-        var = self.config.variability
-        return var is not None and var.params.sigma_read > 0.0
-
     def _plan_stacking(self) -> None:
         """Fix the batched engine's structure; bindings and stages do
         not change after the build.
@@ -381,12 +366,9 @@ class BayesianCim:
         that stage is a channel-wise :class:`DropoutGate` feeding a
         :class:`CimConv2d`, which the engine may run as one gated conv.
 
-        ``_steps`` is the stage list as the engine runs it, ``(index of
-        the first stage, callable)`` pairs: each :class:`FrozenNorm`
-        that no binding drives, that
-        :meth:`~repro.cim.layers.FrozenNorm.sign_foldable` accepts and
-        that a :class:`DigitalSign` follows, runs with that sign and a
-        :class:`DigitalMaxPool` right after it as one
+        ``_steps`` is the stage list as the engine runs it
+        (:func:`~repro.cim.layers.plan_steps`): each norm→sign(→pool)
+        readout whose norm no binding drives runs as one
         :class:`~repro.cim.layers.SignFold`, in the prefix and the
         stacked part alike.  No run crosses ``_split``: its stages are
         not bound.
@@ -401,17 +383,7 @@ class BayesianCim:
         if (len(pair) == 2 and isinstance(pair[0], DropoutGate)
                 and pair[0].channelwise and isinstance(pair[1], CimConv2d)):
             self._gated_pair = (bound[id(pair[0])], pair[1])
-        self._steps = []
-        idx = 0
-        while idx < len(stages):
-            step = _sign_fold(stages[idx:idx + 3], bound) or stages[idx]
-            self._steps.append((idx, step))
-            idx += getattr(step, "n_stages", 1)
-        # One threshold search serves every fold, at the first call.
-        folds = [step for _, step in self._steps
-                 if isinstance(step, SignFold)]
-        for fold in folds:
-            fold.group = folds
+        self._steps = plan_steps(stages, bound)
 
     def forward_batched(self, x: np.ndarray, n_samples: int = 20,
                         chunk_passes: Optional[int] = None) -> np.ndarray:
@@ -471,7 +443,7 @@ class BayesianCim:
 
         chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
         split, gated = self._split, self._gated_pair
-        if self._has_read_noise():
+        if has_read_noise(self.config.variability):
             chunk, split, gated = 1, 0, None
 
         # Pass-invariant prefix: run once, book T-fold.

@@ -45,6 +45,7 @@ from repro.cim.layers import (
     DigitalSign,
     DropoutGate,
     FrozenNorm,
+    SpinBayesMvm,
 )
 from repro.cim.ledger import OpLedger
 
@@ -55,6 +56,7 @@ from repro.cim.ledger import OpLedger
 STAGE_TYPES = {
     "cim_linear": CimLinear,
     "cim_conv2d": CimConv2d,
+    "spinbayes_mvm": SpinBayesMvm,
     "frozen_norm": FrozenNorm,
     "dropout_gate": DropoutGate,
     "digital_scale": DigitalScale,
@@ -62,6 +64,8 @@ STAGE_TYPES = {
     "digital_relu": DigitalReLU,
     "digital_maxpool": DigitalMaxPool,
     "digital_flatten": DigitalFlatten,
+    # SpinBayes snapshots saved their flatten stage under this tag.
+    "flatten": DigitalFlatten,
 }
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.cim.adc import PopcountADC
 from repro.cim.crossbar import (
+    AnalogCrossbar,
     XnorCrossbar,
     merge_leading_axes,
     split_leading_axes,
@@ -33,6 +34,7 @@ from repro.cim.mapping import (
     _chunk,
     plan_conv_mapping,
 )
+from repro.devices.arbiter import SpintronicArbiter
 from repro.devices.defects import DefectModel
 from repro.devices.mtj import MTJParams
 from repro.devices.variability import DeviceVariability
@@ -567,6 +569,247 @@ class GatedConvInput:
         self.out_hw = (0, 0)
 
 
+def has_read_noise(variability: Optional[DeviceVariability]) -> bool:
+    """Whether crossbars under ``variability`` draw fresh read noise on
+    every readout, so that no two MC passes read the same array."""
+    return variability is not None and variability.params.sigma_read > 0.0
+
+
+class SpinBayesMvm(CimLayer):
+    """One Fig.-3 layer: N analog crossbars and a stochastic arbiter.
+
+    Each :class:`~repro.cim.crossbar.AnalogCrossbar` holds one quantized
+    posterior realization of the layer's weights.  A single pass asks
+    the arbiter for a one-hot selection (``component=`` pins one
+    instead) and reads the chosen crossbar.  The batched MC engine
+    installs ``selections``, one component per pass of the flattened
+    ``(T·N, …)`` batch, the way a :class:`DropoutGate` takes a mask
+    bank; :meth:`forward` then reads every pass's crossbar in one call
+    (:meth:`forward_banked`).
+    """
+
+    def __init__(self, components: List[np.ndarray],
+                 bias: Optional[np.ndarray], n_levels: int,
+                 config: CimConfig, ledger: OpLedger,
+                 binarize_input: bool = False):
+        if not components:
+            raise ValueError("need at least one component")
+        super().__init__(ledger)
+        self.n_components = len(components)
+        self.out_features = components[0].shape[0]
+        self.bias = bias
+        self.intended = [c.copy() for c in components]
+        self.binarize_input = binarize_input
+        v_min = float(min(c.min() for c in components))
+        v_max = float(max(c.max() for c in components))
+        self.crossbars: List[AnalogCrossbar] = []
+        for weights in components:
+            in_features = weights.shape[1]
+            out_features = weights.shape[0]
+            bar = AnalogCrossbar(
+                in_features, out_features, n_levels=n_levels,
+                mtj_params=config.mtj_params,
+                variability=config.variability,
+                defects=config.defects,
+                rng=config.rng, ledger=ledger)
+            bar.program(weights.T, v_min=v_min, v_max=v_max)
+            self.crossbars.append(bar)
+        if self.n_components > 1:
+            self.arbiter = SpintronicArbiter(
+                self.n_components, mtj_params=config.mtj_params,
+                variability=config.variability, rng=config.rng)
+        else:
+            self.arbiter = None
+        self.last_selected = 0
+        self.selections: Optional[np.ndarray] = None
+        self._values_stack: Optional[np.ndarray] = None
+
+    @property
+    def n_crossbars(self) -> int:
+        return self.n_components
+
+    # ------------------------------------------------------------------
+    def state_dict(self):
+        """Capture the layer as ``(meta, arrays)`` — the snapshot format.
+
+        Everything stochastic (quantization noise, arbiter device
+        realization) is already baked into the captured arrays, so
+        :meth:`from_state` rebuilds the layer without consuming any RNG
+        or booking ``mtj_write``.  The arbiter's *shared* software
+        generator (``config.rng``) is not part of this state; the
+        deployment snapshot owns the sharing topology.
+        """
+        meta = {
+            "type": "spinbayes_mvm",
+            "n_components": self.n_components,
+            "out_features": self.out_features,
+            "in_features": self.crossbars[0].n_rows,
+            "n_levels": self.crossbars[0].n_levels,
+            "binarize_input": self.binarize_input,
+            "last_selected": self.last_selected,
+            "v_min": [bar._v_min for bar in self.crossbars],
+            "v_max": [bar._v_max for bar in self.crossbars],
+        }
+        arrays = {
+            "g": np.stack([bar.state_dict()["g"] for bar in self.crossbars]),
+            "intended": np.stack(self.intended),
+        }
+        if self.bias is not None:
+            arrays["bias"] = self.bias
+        if self.arbiter is not None:
+            arb = self.arbiter.state_dict()
+            bank = arb["stage_rng"]
+            meta["arbiter"] = {
+                "selections": arb["selections"],
+                "stage_rng": {k: bank[k] for k in
+                              ("n_modules", "target_p", "current",
+                               "set_ops", "read_ops", "reset_ops")},
+            }
+            arrays["arbiter_weights"] = arb["weights"]
+            arrays["arbiter_deltas"] = bank["deltas"]
+            arrays["arbiter_effective_p"] = bank["effective_p"]
+        return meta, arrays
+
+    @classmethod
+    def from_state(cls, meta: dict, arrays: dict, config: CimConfig,
+                   ledger: OpLedger) -> "SpinBayesMvm":
+        """Rebuild from captured state: no programming, no RNG draws."""
+        self = cls.__new__(cls)
+        CimLayer.__init__(self, ledger)
+        self.n_components = int(meta["n_components"])
+        self.out_features = int(meta["out_features"])
+        self.bias = arrays.get("bias")
+        self.intended = [np.asarray(c) for c in arrays["intended"]]
+        self.binarize_input = bool(meta["binarize_input"])
+        in_features = int(meta["in_features"])
+        n_levels = int(meta["n_levels"])
+        self.crossbars = []
+        for k in range(self.n_components):
+            bar = AnalogCrossbar(
+                in_features, self.out_features, n_levels=n_levels,
+                mtj_params=config.mtj_params,
+                variability=config.variability,
+                defects=config.defects,
+                rng=config.rng, ledger=ledger)
+            bar.load_state({"g": arrays["g"][k],
+                            "v_min": meta["v_min"][k],
+                            "v_max": meta["v_max"][k]})
+            self.crossbars.append(bar)
+        if self.n_components > 1:
+            # variability=None skips the constructor's delta draws; the
+            # captured realization is installed right after.
+            self.arbiter = SpintronicArbiter(
+                self.n_components, mtj_params=config.mtj_params,
+                variability=None, rng=config.rng)
+            arb_meta = meta["arbiter"]
+            bank = dict(arb_meta["stage_rng"])
+            bank["deltas"] = arrays["arbiter_deltas"]
+            bank["effective_p"] = arrays["arbiter_effective_p"]
+            self.arbiter.load_state({
+                "weights": arrays["arbiter_weights"],
+                "selections": arb_meta["selections"],
+                "stage_rng": bank,
+            })
+            self.arbiter._stage_rng.variability = config.variability
+        else:
+            self.arbiter = None
+        self.last_selected = int(meta["last_selected"])
+        self.selections = None
+        self._values_stack = None
+        return self
+
+    def _component_values(self) -> np.ndarray:
+        """Cached (n_components, in, out) stack of decoded MVM operands."""
+        if self._values_stack is None:
+            self._values_stack = np.stack(
+                [bar.mvm_values() for bar in self.crossbars])
+        return self._values_stack
+
+    def forward(self, x: np.ndarray, component: Optional[int] = None
+                ) -> np.ndarray:
+        """One pass on the arbiter's pick (or ``component``), or every
+        pass of the installed ``selections`` bank."""
+        if self.selections is not None:
+            return self.forward_banked(
+                x, self.selections, x.shape[0] // self.selections.size)
+        if component is None:
+            if self.arbiter is not None:
+                component = self.arbiter.select()
+                self.ledger.add("rng_cycle", self.arbiter.cycles_per_selection)
+            else:
+                component = 0
+        self.last_selected = component
+        if self.binarize_input:
+            x = np.sign(x)
+        out = self.crossbars[component].matvec(x)
+        self.ledger.add("adc_conversion", out.size)
+        if self.bias is not None:
+            out = out + self.bias
+            self.ledger.add("digital_op", out.size)
+        return out
+
+    def forward_banked(self, x: np.ndarray, selections: np.ndarray,
+                       rows_per_pass: int) -> np.ndarray:
+        """Stacked forward: ``x`` is (P·N, F) pass-major, one pre-drawn
+        component selection per pass.
+
+        Without read noise the decoded MVM operand of every component
+        is deterministic and cached, so each pass is one plain
+        ``(N, F) @ (F, C)`` product against its selected component's
+        pre-decoded matrix — the *same shapes and operand values* the
+        sequential loop feeds BLAS, hence bit-for-bit equal output
+        (grouping passes into taller matmuls is faster still, but GEMM
+        summation order — and therefore the last ulp — depends on the
+        row count, and the downstream sign activation amplifies that
+        ulp into a different network output).  Cell accesses and DAC
+        drives are booked exactly as the hardware's P readouts cost.
+        With read noise each pass must re-draw the conductance
+        fluctuation, so the layer falls back to one
+        :meth:`AnalogCrossbar.matvec` call per distinct component
+        (the engine also chunks to one pass per call in that case,
+        preserving the noise stream draw-for-draw).  Ledger totals
+        equal P sequential :meth:`forward` calls either way because
+        every booking is proportional to the rows processed; the
+        arbiter's RNG cycles are booked at selection-draw time by the
+        network.
+        """
+        selections = np.asarray(selections, dtype=np.int64)
+        n_passes = selections.size
+        if n_passes * rows_per_pass != x.shape[0]:
+            raise ValueError(
+                f"stacked batch {x.shape[0]} != "
+                f"{n_passes} passes x {rows_per_pass} rows")
+        if self.binarize_input:
+            x = np.sign(x)
+        if not has_read_noise(self.crossbars[0].variability):
+            values = self._component_values()
+            in_features = values.shape[1]
+            stacked = x.reshape(n_passes, rows_per_pass, in_features)
+            out3 = np.empty(
+                (n_passes, rows_per_pass, self.out_features),
+                dtype=np.float64)
+            for t in range(n_passes):
+                np.matmul(stacked[t], values[selections[t]], out=out3[t])
+            out = out3.reshape(x.shape[0], self.out_features)
+            self.ledger.add("crossbar_cell_access",
+                            in_features * self.out_features * x.shape[0])
+            self.ledger.add("dac_drive", in_features * x.shape[0])
+        else:
+            out = np.empty((x.shape[0], self.out_features), dtype=np.float64)
+            offsets = np.arange(rows_per_pass)
+            for component in np.unique(selections):
+                passes = np.nonzero(selections == component)[0]
+                rows = (passes[:, None] * rows_per_pass
+                        + offsets[None, :]).ravel()
+                out[rows] = self.crossbars[component].matvec(x[rows])
+        self.last_selected = int(selections[-1])
+        self.ledger.add("adc_conversion", out.size)
+        if self.bias is not None:
+            out = out + self.bias
+            self.ledger.add("digital_op", out.size)
+        return out
+
+
 _SIGN_BIT = np.uint64(1 << 63)
 _ALL_BITS = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _SHIFT = np.uint64(63)
@@ -608,9 +851,9 @@ class FrozenNorm(CimLayer):
     A :class:`DigitalSign` behind a norm reads one bit per feature, and
     that bit is a threshold compare on the norm's input:
     :meth:`sign_thresholds` derives the thresholds from this norm's own
-    arithmetic, and the batched MC engine runs the pair as one
+    arithmetic, and the batched MC engines run the pair as one
     :class:`SignFold`.  :meth:`forward` stays the arithmetic, which the
-    sequential loop and SpinBayes run.
+    sequential loops and :meth:`CimNetwork.forward` run.
     """
 
     def __init__(self, mean: np.ndarray, var: np.ndarray,
@@ -979,7 +1222,7 @@ class DigitalSign(CimLayer):
     """Sign activation taken by sense amplifiers (1-bit readout).
 
     ``x >= 0`` reads +1, anything else (NaN included) −1.  Behind a
-    :class:`FrozenNorm`, the batched MC engine folds the pair (and a
+    :class:`FrozenNorm`, the batched MC engines fold the pair (and a
     :class:`DigitalMaxPool` after it) into one :class:`SignFold`.
     """
 
@@ -1071,10 +1314,10 @@ class SignFold(CimLayer):
     output is built once, at the pooled size.  Bit for bit the three
     stages' output, with what they book, each on its own input:
     ``digital_mac``, ``sa_read`` and ``digital_op``.  Only a norm that
-    :meth:`FrozenNorm.sign_foldable` accepts folds; the batched MC
-    engine picks the runs (``BayesianCim._plan_stacking``) and derives
-    the thresholds of all its folds in one search
-    (:func:`sign_thresholds_of`, through ``group``).
+    :meth:`FrozenNorm.sign_foldable` accepts folds; :func:`plan_steps`
+    picks the runs of a batched MC engine, whose folds derive their
+    thresholds in one search (:func:`sign_thresholds_of`, through
+    ``group``).
     """
 
     def __init__(self, norm: FrozenNorm,
@@ -1114,6 +1357,35 @@ class SignFold(CimLayer):
         return out
 
 
+def plan_steps(stages: Sequence[CimLayer], bound=()) -> list:
+    """The stages as a batched MC engine runs them: ``(index of the
+    first stage, callable)`` pairs.
+
+    Each :class:`FrozenNorm` that :meth:`FrozenNorm.sign_foldable`
+    accepts, that no per-pass binding drives (``bound`` holds the ids
+    of the stages one does) and that a :class:`DigitalSign` follows
+    runs with that sign, and a :class:`DigitalMaxPool` right after it,
+    as one :class:`SignFold`; every other stage runs as itself.  All
+    the folds share one threshold search, at the first call of any of
+    them.  Both deployed engines plan at build and snapshot restore.
+    """
+    steps: list = []
+    idx = 0
+    while idx < len(stages):
+        step, run = stages[idx], stages[idx + 1:idx + 3]
+        if (isinstance(step, FrozenNorm) and run
+                and isinstance(run[0], DigitalSign)
+                and id(step) not in bound and step.sign_foldable()):
+            step = SignFold(
+                step, run[-1] if isinstance(run[-1], DigitalMaxPool) else None)
+        steps.append((idx, step))
+        idx += getattr(step, "n_stages", 1)
+    folds = [step for _, step in steps if isinstance(step, SignFold)]
+    for fold in folds:
+        fold.group = folds
+    return steps
+
+
 class DigitalFlatten(CimLayer):
     def state_dict(self):
         return {"type": "digital_flatten"}, {}
@@ -1151,7 +1423,7 @@ class CimNetwork:
     def mvm_layers(self) -> List[CimLayer]:
         """The analog (crossbar-backed) stages, in order."""
         return [s for s in self.stages
-                if isinstance(s, (CimLinear, CimConv2d))]
+                if isinstance(s, (CimLinear, CimConv2d, SpinBayesMvm))]
 
     @property
     def n_crossbars(self) -> int:

@@ -7,9 +7,13 @@ position matters for the bit-exact batched/sequential equivalence the
 test suite pins.  A :class:`DeploymentSnapshot` captures the whole
 post-compile state:
 
-* per-stage crossbar conductances, decoded operands, bit-packed
-  XNOR-kernel weight planes (uint64, see :mod:`repro.tensor.bitpack`),
-  scale/bias/norm constants (via each stage's ``state_dict``),
+* every stage of the deployed :class:`~repro.cim.layers.CimNetwork`,
+  through one stage registry (``stage_state`` / ``stage_from_state``
+  of :mod:`repro.cim.compile`): crossbar conductances, decoded
+  operands, the bit-packed weight planes of a crossbar that has packed
+  them, scale/bias/norm constants, and a SpinBayes layer's N crossbars
+  and arbiter.  ``BayesianCim`` and ``SpinBayesNetwork`` store and
+  rebuild their networks the same way;
 * the dropout/arbiter device realizations (Δ draws, effective
   probabilities, cycle counters),
 * the full RNG *sharing topology* — which objects share which
@@ -385,17 +389,47 @@ class _ScaleSource:
 
 
 # ----------------------------------------------------------------------
+# The deployed network, shared by both engines
+# ----------------------------------------------------------------------
+def _capture_stages(network: CimNetwork, rngs: _RngRegistry,
+                    arrays: Dict[str, np.ndarray]) -> list:
+    """Every stage's manifest entry; its arrays go to ``s{idx}.*``."""
+    stages_meta = []
+    for idx, stage in enumerate(network.stages):
+        meta, stage_arrays = stage_state(stage)
+        if "arbiter" in meta:
+            # A SpinBayes arbiter draws from config.rng, as the fast
+            # selection draw requires; from_state wires it to the
+            # restored config.rng.  The ref stays in the manifest, whose
+            # bytes the snapshot digests pin.
+            meta["arbiter"]["rng"] = rngs.ref(stage.arbiter._stage_rng.rng)
+        stages_meta.append(meta)
+        for key, value in stage_arrays.items():
+            arrays[f"s{idx}.{key}"] = value
+    return stages_meta
+
+
+def _build_network(manifest: dict, arrays: Dict[str, np.ndarray]
+                   ) -> Tuple[CimNetwork, Dict[str, np.random.Generator]]:
+    """The captured network on a fresh config and ledger, and the
+    resolved generators."""
+    resolved = _resolve_rngs(manifest["rngs"])
+    config = _build_config(manifest["config"], resolved)
+    ledger = OpLedger()
+    ledger.counts.update(manifest["ledger"])
+    stages = [stage_from_state(meta, _sub_arrays(arrays, f"s{idx}."),
+                               config, ledger)
+              for idx, meta in enumerate(manifest["stages"])]
+    return CimNetwork(stages, ledger, config), resolved
+
+
+# ----------------------------------------------------------------------
 # BayesianCim capture / rebuild
 # ----------------------------------------------------------------------
 def _capture_bayesian_cim(engine) -> Tuple[dict, Dict[str, np.ndarray]]:
     rngs = _RngRegistry()
     arrays: Dict[str, np.ndarray] = {}
-    stages_meta = []
-    for idx, stage in enumerate(engine.network.stages):
-        meta, stage_arrays = stage_state(stage)
-        stages_meta.append(meta)
-        for key, value in stage_arrays.items():
-            arrays[f"s{idx}.{key}"] = value
+    stages_meta = _capture_stages(engine.network, rngs, arrays)
     stage_index = {id(s): i for i, s in enumerate(engine.network.stages)}
     bindings_meta = []
     for b_idx, binding in enumerate(engine.bindings):
@@ -440,14 +474,8 @@ def _build_bayesian_cim(manifest: dict, arrays: Dict[str, np.ndarray]):
     from repro.bayesian.deploy import BayesianCim, _MaskBinding
     from repro.bayesian.subset_vi import BayesianScale
 
-    resolved = _resolve_rngs(manifest["rngs"])
-    config = _build_config(manifest["config"], resolved)
-    ledger = OpLedger()
-    ledger.counts.update(manifest["ledger"])
-    stages = [stage_from_state(meta, _sub_arrays(arrays, f"s{idx}."),
-                               config, ledger)
-              for idx, meta in enumerate(manifest["stages"])]
-    network = CimNetwork(stages, ledger, config)
+    network, resolved = _build_network(manifest, arrays)
+    config, stages = network.config, network.stages
     bindings = []
     for b_idx, entry in enumerate(manifest["bindings"]):
         bank = None
@@ -478,28 +506,9 @@ def _build_bayesian_cim(manifest: dict, arrays: Dict[str, np.ndarray]):
 # SpinBayesNetwork capture / rebuild
 # ----------------------------------------------------------------------
 def _capture_spinbayes(engine) -> Tuple[dict, Dict[str, np.ndarray]]:
-    from repro.bayesian.spinbayes import _SpinBayesMvmLayer
-
     rngs = _RngRegistry()
     arrays: Dict[str, np.ndarray] = {}
-    stages_meta = []
-    for idx, stage in enumerate(engine.stages):
-        if isinstance(stage, _SpinBayesMvmLayer):
-            meta, stage_arrays = stage.state_dict()
-            # Every crossbar and arbiter shares config.rng by
-            # construction; record it so restore keeps the sharing the
-            # fast selection draw requires.
-            if stage.arbiter is not None:
-                meta["arbiter"]["rng"] = rngs.ref(stage.arbiter._stage_rng.rng)
-        elif isinstance(stage, str) and stage == "flatten":
-            meta, stage_arrays = {"type": "flatten"}, {}
-        elif isinstance(stage, tuple) and stage[0] == "static_scale":
-            meta, stage_arrays = {"type": "static_scale"}, {"scale": stage[1]}
-        else:
-            meta, stage_arrays = stage_state(stage)
-        stages_meta.append(meta)
-        for key, value in stage_arrays.items():
-            arrays[f"s{idx}.{key}"] = value
+    stages_meta = _capture_stages(engine.network, rngs, arrays)
     manifest = {
         "kind": "deployment",
         "engine": "spinbayes",
@@ -514,39 +523,16 @@ def _capture_spinbayes(engine) -> Tuple[dict, Dict[str, np.ndarray]]:
 
 
 def _build_spinbayes(manifest: dict, arrays: Dict[str, np.ndarray]):
-    from repro.bayesian.spinbayes import SpinBayesNetwork, _SpinBayesMvmLayer
+    from repro.bayesian.spinbayes import SpinBayesNetwork
 
-    resolved = _resolve_rngs(manifest["rngs"])
-    config = _build_config(manifest["config"], resolved)
-    ledger = OpLedger()
-    ledger.counts.update(manifest["ledger"])
-    stages = []
-    for idx, meta in enumerate(manifest["stages"]):
-        stage_arrays = _sub_arrays(arrays, f"s{idx}.")
-        kind = meta["type"]
-        if kind == "spinbayes_mvm":
-            stages.append(_SpinBayesMvmLayer.from_state(
-                meta, stage_arrays, config, ledger))
-        elif kind == "flatten":
-            stages.append("flatten")
-        elif kind == "static_scale":
-            stages.append(("static_scale",
-                           np.asarray(stage_arrays["scale"])))
-        else:
-            stages.append(stage_from_state(meta, stage_arrays, config,
-                                           ledger))
-    return SpinBayesNetwork(stages, ledger, config,
-                            manifest["n_components"], manifest["n_levels"])
+    network, _ = _build_network(manifest, arrays)
+    return SpinBayesNetwork(network, manifest["n_components"],
+                            manifest["n_levels"])
 
 
 # ----------------------------------------------------------------------
 # Public value type
 # ----------------------------------------------------------------------
-# Process-local verified-load cache: abspath -> (manifest mtime_ns,
-# DeploymentSnapshot).  See DeploymentSnapshot.load_cached.
-_LOAD_CACHE: Dict[str, Tuple[Optional[int], "DeploymentSnapshot"]] = {}
-
-
 class DeploymentSnapshot:
     """A compiled deployment as an immutable value.
 
@@ -601,31 +587,6 @@ class DeploymentSnapshot:
         """Load and verify a saved snapshot (see :func:`read_artifact`)."""
         manifest, arrays = read_artifact(path, kind="deployment")
         return cls(manifest, arrays)
-
-    @classmethod
-    def load_cached(cls, path: str) -> "DeploymentSnapshot":
-        """:meth:`load`, memoized per process.
-
-        The worker-side fast path for the process-backed replica pool:
-        a worker hosting several model ids backed by the same artifact
-        (or respawned onto one it already verified) pays the CRC +
-        content-hash verification once, then rehydrates engines from
-        the resident arrays.  The cache key is the absolute path plus
-        the manifest's mtime, so an artifact rewritten in place is
-        re-verified.  Snapshots are immutable values — sharing one
-        across :meth:`build` calls is safe by design.
-        """
-        key = os.path.abspath(path)
-        try:
-            stamp = os.stat(os.path.join(key, MANIFEST_NAME)).st_mtime_ns
-        except OSError:
-            stamp = None
-        hit = _LOAD_CACHE.get(key)
-        if hit is not None and hit[0] == stamp:
-            return hit[1]
-        snapshot = cls.load(path)
-        _LOAD_CACHE[key] = (stamp, snapshot)
-        return snapshot
 
     # ------------------------------------------------------------------
     def build(self):

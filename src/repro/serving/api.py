@@ -252,8 +252,7 @@ def _engine_factory(kind: str, value):
     from repro.cim.snapshot import DeploymentSnapshot
 
     if kind == "path":
-        snapshot = DeploymentSnapshot.load_cached(value)
-        return snapshot.build
+        return DeploymentSnapshot.load(value).build
     if kind == "snapshot":
         return value.build
     if kind == "factory":

@@ -285,10 +285,17 @@ class AsyncBatchScheduler:
         if core.admission is not None:
             core.admission.admit(rows, core.pending_rows,
                                  core._observed_p95)
-        await self._acquire_rows(rows)
-        if self._closed:                 # closed while suspended
-            self._release_rows(rows)
-            raise RuntimeError("scheduler is closed")
+        try:
+            await self._acquire_rows(rows)
+            if self._closed:             # closed while suspended
+                self._release_rows(rows)
+                raise RuntimeError("scheduler is closed")
+        except BaseException:
+            # Cancelled or closed while waiting on backpressure: the
+            # admitted rows will never be served.
+            if core.admission is not None:
+                core.admission.release(rows)
+            raise
         request = core._enqueue(x, n_samples, model_id)
         future = asyncio.wrap_future(request.future, loop=loop)
         future.add_done_callback(

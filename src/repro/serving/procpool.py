@@ -7,10 +7,10 @@ module moves each replica into its own worker *process*:
 
 * **Workers boot from artifacts, not pickles of live engines.**  A
   worker receives only a :class:`~repro.cim.snapshot.DeploymentSnapshot`
-  path (or a picklable zero-arg factory) and rehydrates its own warm
-  engine — plan caches, packed bitplanes, RNG stream positions — via
-  the process-local :meth:`~repro.cim.snapshot.DeploymentSnapshot.
-  load_cached` fast path.  N workers built from one snapshot produce
+  path (or a picklable zero-arg factory), loads and verifies it
+  (:meth:`~repro.cim.snapshot.DeploymentSnapshot.load`) and rehydrates
+  its own engine at the captured RNG stream positions, once per model
+  id it hosts.  N workers built from one snapshot produce
   identical prediction streams, which is what makes the pool
   bit-identical to threaded sharding (see *Equivalence* below).
 * **Rows travel through shared memory, not the pipe.**  Each worker
@@ -98,7 +98,7 @@ def _boot_engine(source: _Source):
     kind, value = source
     if kind == "snapshot":
         from repro.cim.snapshot import DeploymentSnapshot
-        return DeploymentSnapshot.load_cached(value).build()
+        return DeploymentSnapshot.load(value).build()
     return value()
 
 

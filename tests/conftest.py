@@ -13,7 +13,8 @@ The batched MC engine runs a channel-wise dropout gate and the conv
 it feeds as one gated conv on exact grids
 (:meth:`CrossbarGrid.mvm_gated`, spied by ``gated_calls``);
 ``force_stacked(engine)`` sends that pair down the stacked path
-instead.  It also runs each ``FrozenNorm → DigitalSign (→
+instead.  Both batched engines (``BayesianCim`` and
+``SpinBayesNetwork``) also run each ``FrozenNorm → DigitalSign (→
 DigitalMaxPool)`` run as one threshold compare
 (:meth:`SignFold.forward`, spied by ``sign_fold_calls``);
 ``force_stages(engine)`` runs the three arithmetic stages instead.
@@ -60,9 +61,9 @@ def force_stacked():
 
 @pytest.fixture
 def force_stages():
-    """``force_stages(engine)`` runs a deployed ``BayesianCim``'s
-    norm→sign(→pool) runs as their arithmetic stages, as the sequential
-    oracle does, instead of as sign folds."""
+    """``force_stages(engine)`` runs a deployed ``BayesianCim``'s or
+    ``SpinBayesNetwork``'s norm→sign(→pool) runs as their arithmetic
+    stages, as the sequential oracle does, instead of as sign folds."""
     def force(engine):
         engine._steps = list(enumerate(engine.network.stages))
         return engine

@@ -13,11 +13,13 @@ cancel while queued, and the sync timeout-withdraw).
 """
 
 import asyncio
+import gc
 import glob
 import multiprocessing
 import os
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -102,6 +104,30 @@ class TestServeBackends:
                 np.testing.assert_array_equal(
                     f.predict(X).samples, reference,
                     err_msg=f"source kind {label}")
+
+    @pytest.mark.parametrize("backend", ["sync", "threads"])
+    def test_served_path_snapshot_is_freed_after_close(
+            self, backend, tmp_path, monkeypatch):
+        """A path served in-process keeps its loaded snapshot only as
+        long as its front-end: nothing process-wide holds the blob."""
+        path = str(tmp_path / "snap")
+        DeploymentSnapshot.capture(_factory()).save(path)
+        loaded = []
+        load = DeploymentSnapshot.load.__func__
+
+        def spy(cls, where):
+            snapshot = load(cls, where)
+            loaded.append(weakref.ref(snapshot))
+            return snapshot
+
+        monkeypatch.setattr(DeploymentSnapshot, "load", classmethod(spy))
+        frontend = serve(path, backend=backend,
+                         config=ServingConfig(n_samples=2, replicas=2))
+        with frontend:
+            frontend.predict(X)
+        del frontend
+        gc.collect()
+        assert loaded and all(ref() is None for ref in loaded)
 
     def test_registry_backed_serving(self, snapshot_path):
         registry = ModelRegistry()
@@ -373,6 +399,48 @@ class TestAdmissionReconciliation:
         asyncio.run(run())
         assert admission.cancelled_rows == X.shape[0]
         assert admission.served_rows == 0
+
+    @pytest.mark.parametrize("how", ["cancel", "close"])
+    def test_async_submit_ended_during_backpressure_releases_rows(self, how):
+        """A submit admitted, then cancelled or closed out while it
+        waits on backpressure, is never served: its rows leave the
+        admission count."""
+        gate = _GateEngine()
+        admission = self._admission()
+        rows = X.shape[0]
+
+        async def run():
+            scheduler = BatchScheduler(gate, n_samples=2,
+                                       admission=admission)
+            front = AsyncBatchScheduler(scheduler, max_pending_rows=rows)
+            first = await front.submit(X)
+            # The first request holds every backpressure slot while its
+            # flush waits in the gated engine.
+            waiting = asyncio.ensure_future(front.submit(X[:2]))
+            for _ in range(50):
+                await asyncio.sleep(0.01)
+                if front.in_flight_rows == rows:
+                    break
+            assert not waiting.done()
+            if how == "cancel":
+                waiting.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await waiting
+                gate.release.set()
+                await first.result()
+                await front.aclose()
+            else:
+                closing = asyncio.ensure_future(front.aclose())
+                await asyncio.sleep(0)
+                gate.release.set()
+                await closing
+                with pytest.raises(RuntimeError, match="closed"):
+                    await waiting
+                await first.result()
+        asyncio.run(run())
+        assert admission.admitted_rows == rows + 2
+        assert admission.cancelled_rows == 2
+        assert admission.served_rows == rows
 
     def test_sync_timeout_withdraw_releases_rows(self):
         admission = self._admission()

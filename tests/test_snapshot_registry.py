@@ -376,40 +376,6 @@ class TestMultiTenantServing:
         assert registry.evictions >= 1
 
 
-class TestLoadCached:
-    """The worker-side fast load path: one parse per artifact."""
-
-    def test_repeated_loads_return_the_cached_snapshot(self, tmp_path):
-        path = str(tmp_path / "snap")
-        DeploymentSnapshot.capture(_engine("spindrop")).save(path)
-        first = DeploymentSnapshot.load_cached(path)
-        assert DeploymentSnapshot.load_cached(path) is first
-        # The cache is keyed on the resolved path, not the spelling.
-        alias = str(tmp_path / "." / "snap")
-        assert DeploymentSnapshot.load_cached(alias) is first
-
-    def test_rewritten_artifact_invalidates_the_cache(self, tmp_path):
-        path = str(tmp_path / "snap")
-        DeploymentSnapshot.capture(_engine("spindrop")).save(path)
-        first = DeploymentSnapshot.load_cached(path)
-        # Re-save and backdate/forward-date the manifest mtime so the
-        # staleness stamp is guaranteed to differ.
-        DeploymentSnapshot.capture(_engine("spindrop", seed=1)).save(path)
-        manifest = os.path.join(path, "manifest.json")
-        stat = os.stat(manifest)
-        os.utime(manifest, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10))
-        assert DeploymentSnapshot.load_cached(path) is not first
-
-    def test_cached_snapshot_builds_identical_engines(self, tmp_path):
-        path = str(tmp_path / "snap")
-        DeploymentSnapshot.capture(_engine("spindrop")).save(path)
-        a = DeploymentSnapshot.load(path).build()
-        b = DeploymentSnapshot.load_cached(path).build()
-        np.testing.assert_array_equal(
-            a.mc_forward_batched(X, n_samples=3).samples,
-            b.mc_forward_batched(X, n_samples=3).samples)
-
-
 class TestRegistrySnapshotPath:
     """procpool workers boot registered models from their artifact
     path — the registry must remember it verbatim."""

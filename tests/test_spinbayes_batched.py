@@ -8,17 +8,31 @@ totals (crossbar accesses, ADC conversions, arbiter RNG cycles) —
 including the arbiter's component selections, with and without
 cycle-to-cycle read noise, chunked or not, for power-of-two component
 counts (vectorized selection draw) and odd ones (per-select replay).
+The batched engine runs each norm→sign readout as one sign fold; the
+equivalence suite also runs on the arithmetic stages.
+
+The arbiter layer is an ordinary CIM stage
+(:class:`~repro.cim.layers.SpinBayesMvm`) of a
+:class:`~repro.cim.layers.CimNetwork`, and the rest of the teacher
+deploys by the compile rules, so a SpinBayes snapshot is a stage list
+like any other.
 """
 
 import numpy as np
 import pytest
 
+from repro import nn
 from repro.bayesian import (
+    BayesianScale,
     SpinBayesNetwork,
     make_subset_vi_mlp,
     mc_predict_fn,
 )
 from repro.cim import CimConfig
+from repro.cim.compile import stage_from_state, stage_state
+from repro.cim.layers import DigitalFlatten, FrozenNorm, SpinBayesMvm
+from repro.cim.ledger import OpLedger
+from repro.cim.snapshot import DeploymentSnapshot
 from repro.devices import DeviceVariability, VariabilityParams
 
 RNG = np.random.default_rng(42)
@@ -41,10 +55,28 @@ def _network(n_components=8, read_noise=False, seed=33):
 
 
 class TestBitExactEquivalence:
+    """Run with each norm→sign readout folded into one threshold
+    compare, the batched engine's default."""
+
+    # Whether the batched engine runs norm→sign as arithmetic stages.
+    stages = False
+
+    @pytest.fixture(autouse=True)
+    def _readouts(self, sign_fold_calls, force_stages):
+        """Build every network in this class's mode; afterwards the
+        sign folds ran exactly when the batched engine planned them."""
+        self._force_stages = force_stages
+        yield
+        assert bool(sign_fold_calls) is not self.stages
+
+    def _network(self, *args, **kwargs):
+        net = _network(*args, **kwargs)
+        return self._force_stages(net) if self.stages else net
+
     @pytest.mark.parametrize("n_components", [8, 5, 1])
     def test_samples_probs_and_ledger_match(self, n_components):
-        a = _network(n_components)
-        b = _network(n_components)
+        a = self._network(n_components)
+        b = self._network(n_components)
         seq = a.mc_forward(X, n_samples=6, batched=False)
         bat = b.mc_forward(X, n_samples=6, batched=True)
         np.testing.assert_array_equal(seq.samples, bat.samples)
@@ -52,16 +84,16 @@ class TestBitExactEquivalence:
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     def test_sequential_reference_is_the_plain_mc_loop(self):
-        a = _network()
-        b = _network()
+        a = self._network()
+        b = self._network()
         seq = mc_predict_fn(a.forward, X, n_samples=5)
         bat = b.mc_forward_batched(X, n_samples=5)
         np.testing.assert_array_equal(seq.samples, bat.samples)
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     def test_chunked_matches_unchunked(self):
-        a = _network()
-        b = _network()
+        a = self._network()
+        b = self._network()
         full = a.mc_forward_batched(X, n_samples=5)
         chunked = b.mc_forward_batched(X, n_samples=5, chunk_passes=2)
         np.testing.assert_array_equal(full.samples, chunked.samples)
@@ -71,16 +103,16 @@ class TestBitExactEquivalence:
     def test_read_noise_still_bit_exact(self, n_components):
         # Read noise forces one pass per stacked call; the noise
         # stream is then consumed draw-for-draw in sequential order.
-        a = _network(n_components, read_noise=True)
-        b = _network(n_components, read_noise=True)
+        a = self._network(n_components, read_noise=True)
+        b = self._network(n_components, read_noise=True)
         seq = a.mc_forward(X, n_samples=4, batched=False)
         bat = b.mc_forward(X, n_samples=4, batched=True)
         np.testing.assert_array_equal(seq.samples, bat.samples)
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     def test_arbiter_state_matches_sequential(self):
-        a = _network()
-        b = _network()
+        a = self._network()
+        b = self._network()
         a.mc_forward(X, n_samples=5, batched=False)
         b.mc_forward_batched(X, n_samples=5)
         for la, lb in zip(a.mvm_layers(), b.mvm_layers()):
@@ -93,15 +125,23 @@ class TestBitExactEquivalence:
     def test_rng_cycle_totals(self):
         # Three arbiters (two hidden blocks + head) x ceil(log2 8)
         # stages x 5 passes.
-        net = _network()
+        net = self._network()
         assert len(net.mvm_layers()) == 3
         net.mc_forward_batched(X, n_samples=5)
         assert net.ledger["rng_cycle"] == 3 * 3 * 5
 
     def test_batched_passes_differ_from_each_other(self):
-        net = _network()
+        net = self._network()
         result = net.mc_forward_batched(X, n_samples=8)
         assert result.samples.std(axis=0).sum() > 0.0
+
+
+class TestBitExactEquivalenceOnStages(TestBitExactEquivalence):
+    """The same contract with the batched engine running each norm→sign
+    readout as its arithmetic stages (``force_stages``), as the
+    sequential oracle does."""
+
+    stages = True
 
 
 class TestBatchedApiContracts:
@@ -133,3 +173,133 @@ class TestBatchedApiContracts:
         before = net.quantization_error()
         net.mc_forward_batched(X, n_samples=3)
         assert net.quantization_error() == before
+
+
+# ----------------------------------------------------------------------
+# The arbiter layer as a CIM stage
+# ----------------------------------------------------------------------
+X_WIDE = RNG.standard_normal((3, 256))
+
+
+def _perfbench_network():
+    """The perfbench SpinBayes engine: 256-128-64-10, N=8, 16 levels."""
+    teacher = make_subset_vi_mlp(256, (128, 64), 10, seed=0)
+    return SpinBayesNetwork.from_subset_vi(
+        teacher, n_components=8, n_levels=16, config=CimConfig(seed=0),
+        seed=0)
+
+
+def _flatten_teacher():
+    return nn.Sequential(nn.Flatten(),
+                         *make_subset_vi_mlp(20, (16, 8), 4, seed=3))
+
+
+def _deploy(teacher):
+    return SpinBayesNetwork.from_subset_vi(
+        teacher, n_components=4, n_levels=16, config=CimConfig(seed=6),
+        seed=33)
+
+
+def _norms(net):
+    return [s for s in net.network.stages if isinstance(s, FrozenNorm)]
+
+
+class TestStageModel:
+    def test_perfbench_engine_folds_and_restores(self, tmp_path,
+                                                 sign_fold_calls):
+        a, b = _perfbench_network(), _perfbench_network()
+        seq = a.mc_forward(X_WIDE, n_samples=8, batched=False)
+        bat = b.mc_forward(X_WIDE, n_samples=8)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert {id(fold.norm) for fold in sign_fold_calls} \
+            == {id(norm) for norm in _norms(b)}
+
+        # A restore plans the same steps and continues the captured
+        # streams.
+        restored = DeploymentSnapshot.capture(b).build()
+        assert [(idx, type(step)) for idx, step in restored._steps] \
+            == [(idx, type(step)) for idx, step in b._steps]
+        np.testing.assert_array_equal(
+            b.mc_forward_batched(X_WIDE, n_samples=8).samples,
+            restored.mc_forward_batched(X_WIDE, n_samples=8).samples)
+        assert b.ledger.as_dict() == restored.ledger.as_dict()
+
+        # So does one through the saved artifact, batched or not.
+        path = str(tmp_path / "spinbayes")
+        DeploymentSnapshot.capture(b).save(path)
+        snapshot = DeploymentSnapshot.load(path)
+        a, b = snapshot.build(), snapshot.build()
+        seq = a.mc_forward(X_WIDE, n_samples=8, batched=False)
+        bat = b.mc_forward(X_WIDE, n_samples=8, chunk_passes=3)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+
+    def test_pass_invariant_network_runs_once_per_call(self,
+                                                       sign_fold_calls):
+        # With one component no arbiter draws: every stage is prefix,
+        # run once for all T passes, however the passes are chunked.
+        net = _network(n_components=1)
+        assert net._split == len(net.network.stages)
+        net.forward_batched(X, n_samples=5, chunk_passes=2)
+        assert len(sign_fold_calls) == 2
+
+    def test_selection_banks_are_cleared(self):
+        net = _network()
+        net.forward_batched(X, n_samples=3)
+        assert all(layer.selections is None for layer in net.mvm_layers())
+        with pytest.raises(ValueError):
+            net.forward_batched(X[:, :5], n_samples=3)
+        assert all(layer.selections is None for layer in net.mvm_layers())
+        # A single pass after a batched call draws its own selections.
+        net.ledger.reset()
+        net.forward(X)
+        assert net.ledger["rng_cycle"] == 3 * 3
+
+    def test_flatten_deploys_a_digital_flatten(self):
+        net = _deploy(_flatten_teacher())
+        assert isinstance(net.network.stages[0], DigitalFlatten)
+        x = X.reshape(9, 4, 5)
+        seq = _deploy(_flatten_teacher()).mc_forward(x, n_samples=5,
+                                                     batched=False)
+        np.testing.assert_array_equal(
+            net.mc_forward(x, n_samples=5).samples, seq.samples)
+
+    def test_stored_flatten_tag_still_builds(self):
+        snapshot = DeploymentSnapshot.capture(_deploy(_flatten_teacher()))
+        manifest = dict(snapshot.manifest)
+        manifest["stages"] = [dict(meta) for meta in manifest["stages"]]
+        assert manifest["stages"][0]["type"] == "digital_flatten"
+        manifest["stages"][0]["type"] = "flatten"
+        legacy = DeploymentSnapshot(manifest, snapshot.arrays).build()
+        assert isinstance(legacy.network.stages[0], DigitalFlatten)
+        x = X.reshape(9, 4, 5)
+        np.testing.assert_array_equal(
+            snapshot.build().mc_forward_batched(x, n_samples=4).samples,
+            legacy.mc_forward_batched(x, n_samples=4).samples)
+
+    def test_orphan_bayesian_scale_raises(self):
+        teacher = nn.Sequential(BayesianScale(20),
+                                *make_subset_vi_mlp(20, (16, 8), 4, seed=3))
+        with pytest.raises(TypeError, match="BayesianScale"):
+            _deploy(teacher)
+
+    @pytest.mark.parametrize("n_components", [4, 1])
+    def test_mvm_stage_round_trips_its_state(self, n_components):
+        net = SpinBayesNetwork.from_subset_vi(
+            make_subset_vi_mlp(20, (16, 8), 4, seed=3),
+            n_components=n_components, config=CimConfig(seed=6), seed=33)
+        layer = net.mvm_layers()[0]
+        layer.forward(X)
+        meta, arrays = stage_state(layer)
+        rebuilt = stage_from_state(meta, arrays, net.config, OpLedger())
+        assert isinstance(rebuilt, SpinBayesMvm)
+        again_meta, again_arrays = stage_state(rebuilt)
+        assert again_meta == meta
+        assert again_arrays.keys() == arrays.keys()
+        for key in arrays:
+            np.testing.assert_array_equal(again_arrays[key], arrays[key])
+        for component in range(n_components):
+            np.testing.assert_array_equal(
+                rebuilt.forward(X, component=component),
+                layer.forward(X, component=component))
