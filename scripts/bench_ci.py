@@ -4,7 +4,7 @@ Times T-pass Monte-Carlo inference for FOUR engines — the Table-I
 (fast preset) SpinDrop MLP on :class:`BayesianCim`, the subset-VI
 teacher deployed as a :class:`SpinBayesNetwork` (N crossbars +
 arbiter per layer), the §III-B.2 Bayesian segmenter through the
-pass-stacked ``mc_segment_batched`` engine, and the deployed
+pass-stacked ``mc_segment`` engine, and the deployed
 Spatial-SpinDrop CNN (``cim_conv``: :class:`CimConv2d` crossbars on
 the plan-cached, arena-backed, exact-integer conv kernel) — once
 through the original sequential per-pass loop and once through the
@@ -91,7 +91,6 @@ try:
         make_spindrop_mlp,
         make_subset_vi_mlp,
         mc_segment,
-        mc_segment_batched,
     )
     from repro.cim import CimConfig
     from repro.tensor.functional import conv_plan_cache_stats
@@ -106,7 +105,6 @@ except ImportError:  # source checkout without install
         make_spindrop_mlp,
         make_subset_vi_mlp,
         mc_segment,
-        mc_segment_batched,
     )
     from repro.cim import CimConfig
     from repro.tensor.functional import conv_plan_cache_stats
@@ -346,7 +344,7 @@ def _gate_segmentation(min_speedup):
     check_bat = make_bayesian_segmenter(seed=0)
     seq_result = mc_segment(check_seq, x, n_samples=SEG_SAMPLES,
                             batched=False)
-    bat_result = mc_segment_batched(check_bat, x, n_samples=SEG_SAMPLES)
+    bat_result = mc_segment(check_bat, x, n_samples=SEG_SAMPLES)
     if not np.array_equal(seq_result.samples, bat_result.samples):
         print("FAIL: segmentation batched MC output differs from sequential")
         return None
@@ -356,11 +354,11 @@ def _gate_segmentation(min_speedup):
 
     model = make_bayesian_segmenter(seed=0)
     mc_segment(model, x, n_samples=2, batched=False)
-    mc_segment_batched(model, x, n_samples=2)
+    mc_segment(model, x, n_samples=2)
     # Warm engines must reuse the memoized im2col/pooling plans:
     # zero index-plan rebuilds from here on.
     builds_before = conv_plan_cache_stats()["builds"]
-    mc_segment_batched(model, x, n_samples=SEG_SAMPLES)
+    mc_segment(model, x, n_samples=SEG_SAMPLES)
     plan_rebuilds = conv_plan_cache_stats()["builds"] - builds_before
     if plan_rebuilds != 0:
         print(f"FAIL: warm segmentation engine rebuilt {plan_rebuilds} "
@@ -371,7 +369,7 @@ def _gate_segmentation(min_speedup):
         lambda: mc_segment(model, x, n_samples=SEG_SAMPLES, batched=False),
         REPEATS)
     bat_s = _best_of(
-        lambda: mc_segment_batched(model, x, n_samples=SEG_SAMPLES),
+        lambda: mc_segment(model, x, n_samples=SEG_SAMPLES),
         REPEATS)
     return {
         "batch": SEG_BATCH,

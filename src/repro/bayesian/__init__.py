@@ -51,7 +51,6 @@ from repro.bayesian.segmentation import (
     Upsample2d,
     make_bayesian_segmenter,
     mc_segment,
-    mc_segment_batched,
     pixel_maps,
     segmentation_loss,
 )
@@ -95,7 +94,6 @@ __all__ = [
     "make_bayesian_segmenter",
     "segmentation_loss",
     "mc_segment",
-    "mc_segment_batched",
     "pixel_maps",
     "DeepEnsemble",
 ]

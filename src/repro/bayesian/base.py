@@ -172,8 +172,7 @@ _MC_STACK_AUTO_ROWS = 4096
 
 def mc_predict(model: nn.Module, x: np.ndarray, n_samples: int = 20,
                batch_size: Optional[int] = None,
-               batched: bool = True,
-               chunk_passes: Optional[int] = None) -> PredictiveResult:
+               batched: bool = True) -> PredictiveResult:
     """Monte-Carlo predictive distribution of a training-side model.
 
     Runs ``n_samples`` forward passes in eval mode with stochastic
@@ -196,17 +195,13 @@ def mc_predict(model: nn.Module, x: np.ndarray, n_samples: int = 20,
     bank support always fall back to the sequential loop (every
     bundled layer — including DropConnect, whose per-pass *weight*
     masks apply as a batched matmul — now supports banks).
-    ``chunk_passes`` forces the stacked
-    path with at most that many passes per stacked call;
     ``batch_size`` bounds row count in the sequential path.  The
     model's train/eval mode is restored on return.
     """
     state = _enter_mc_eval(model)
     try:
-        n_rows = np.shape(x)[0]
-        if batched and (chunk_passes is not None
-                        or n_rows * n_samples <= _MC_STACK_AUTO_ROWS):
-            result = _mc_predict_stacked(model, x, n_samples, chunk_passes)
+        if batched and np.shape(x)[0] * n_samples <= _MC_STACK_AUTO_ROWS:
+            result = _mc_predict_stacked(model, x, n_samples)
             if result is not None:
                 return result
         samples = []
@@ -238,15 +233,14 @@ def split_pass_invariant_prefix(model: nn.Module):
     return layers, []
 
 
-def _mc_predict_stacked(model: nn.Module, x: np.ndarray, n_samples: int,
-                        chunk_passes: Optional[int]
+def _mc_predict_stacked(model: nn.Module, x: np.ndarray, n_samples: int
                         ) -> Optional[PredictiveResult]:
     """Stacked evaluation of all T passes; None if unsupported.
 
     Pre-draws every stochastic layer's per-pass randomness in
     pass-major order (the order T sequential forwards would draw in),
-    installs the banks, and pushes ``(P·N, …)`` pass-stacks through the
-    model — the pass-invariant prefix evaluated once and broadcast.
+    installs the banks, and pushes one ``(T·N, …)`` pass-stack through
+    the model — the pass-invariant prefix evaluated once and broadcast.
     Layers raising ``NotImplementedError`` from
     :meth:`StochasticModule.mc_draw_pass` abort the stacked path before
     any randomness is consumed beyond the first failing layer — the
@@ -262,27 +256,20 @@ def _mc_predict_stacked(model: nn.Module, x: np.ndarray, n_samples: int,
     if not supported:
         return None
     banks = _mc_draw_banks(modules, n, n_samples)
-
-    chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
-    outs = []
     try:
         with no_grad():
             base = _run_layers(prefix, x)
-            for t0 in range(0, n_samples, chunk):
-                t1 = min(t0 + chunk, n_samples)
-                for module, bank in zip(modules, banks):
-                    module.mc_install_bank(bank[t0:t1], n)
-                stacked = np.broadcast_to(
-                    base[None], (t1 - t0,) + base.shape).reshape(
-                        ((t1 - t0) * n,) + base.shape[1:])
-                logits = _run_layers(suffix, stacked)
-                probs = _softmax_np(logits, axis=-1)
-                outs.append(probs.reshape((t1 - t0, n) + probs.shape[1:]))
+            for module, bank in zip(modules, banks):
+                module.mc_install_bank(bank, n)
+            stacked = np.broadcast_to(
+                base[None], (n_samples,) + base.shape).reshape(
+                    (n_samples * n,) + base.shape[1:])
+            probs = _softmax_np(_run_layers(suffix, stacked), axis=-1)
     finally:
         for module in modules:
             module.mc_clear_bank()
-    stacked_probs = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-    return PredictiveResult.from_samples(stacked_probs)
+    return PredictiveResult.from_samples(
+        probs.reshape((n_samples, n) + probs.shape[1:]))
 
 
 def _mc_draw_banks(modules, n_rows: int, n_samples: int):

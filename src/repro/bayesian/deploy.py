@@ -72,7 +72,6 @@ from repro.cim.layers import (
     DigitalScale,
     DropoutGate,
     FrozenNorm,
-    GatedConvInput,
     has_read_noise,
     plan_steps,
 )
@@ -385,8 +384,8 @@ class BayesianCim:
             self._gated_pair = (bound[id(pair[0])], pair[1])
         self._steps = plan_steps(stages, bound)
 
-    def forward_batched(self, x: np.ndarray, n_samples: int = 20,
-                        chunk_passes: Optional[int] = None) -> np.ndarray:
+    def forward_batched(self, x: np.ndarray, n_samples: int = 20
+                        ) -> np.ndarray:
         """All T MC passes as stacked ndarray ops; logits (T, N, C).
 
         Bit-for-bit identical to T calls of ``forward(x,
@@ -420,14 +419,10 @@ class BayesianCim:
           own arithmetic (:meth:`FrozenNorm.sign_thresholds`), in one
           search for every fold of the engine at its first call;
         * when cycle-to-cycle read noise is enabled the chain is no
-          longer pass-deterministic, so the engine drops to one pass
-          per stacked call and disables prefix memoization — the noise
-          stream is then consumed draw-for-draw in sequential order.
-
-        ``chunk_passes`` bounds peak memory by evaluating at most that
-        many passes per stacked forward (default: all at once).  The
-        gated conv's partial MACs are computed once per call and serve
-        every chunk.
+          longer pass-deterministic, so the engine runs one pass per
+          stacked call, with no prefix memoization and no gated conv —
+          the noise stream is then consumed draw-for-draw in sequential
+          order.
         """
         if n_samples < 1:
             raise ValueError("need at least one MC sample")
@@ -441,10 +436,9 @@ class BayesianCim:
                 "rng_cycle",
                 self._rng_bits_per_image(binding) * batch * n_samples)
 
-        chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
-        split, gated = self._split, self._gated_pair
+        passes, split, gated = n_samples, self._split, self._gated_pair
         if has_read_noise(self.config.variability):
-            chunk, split, gated = 1, 0, None
+            passes, split, gated = 1, 0, None
 
         # Pass-invariant prefix: run once, book T-fold.
         h = x
@@ -455,34 +449,31 @@ class BayesianCim:
                         h = step(h)
         # With a NaN or inf input the stacked gate's 0·NaN still drives
         # a wordline; only the stacked path models that.
-        if gated is not None and gated[1].exact and np.isfinite(h).all():
-            gated_bank, conv = gated
-            h = GatedConvInput(conv, h)
-            start = split + 2
-        else:
+        if gated is not None and not (gated[1].exact
+                                      and np.isfinite(h).all()):
             gated = None
-            start = split
+        start = split if gated is None else split + 2
         rest = [step for idx, step in self._steps if idx >= start]
 
         outs = []
+        self._set_passes_per_call(passes)
         try:
-            for t0 in range(0, n_samples, chunk):
-                t1 = min(t0 + chunk, n_samples)
-                self._install_banks(banks, t0, t1, batch)
-                self._set_passes_per_call(t1 - t0)
+            for t0 in range(0, n_samples, passes):
+                self._install_banks(banks, t0, t0 + passes, batch)
                 if gated is not None:
-                    keep = banks[gated_bank][t0:t1]
+                    gated_bank, conv = gated
+                    keep = banks[gated_bank][t0:t0 + passes]
                     # The gate's own ops, as it books them on the
                     # stacked batch: one per (image, channel).
                     self.ledger.add("digital_op", keep.size * batch)
                     flat = conv.forward(h, keep=keep)
                 else:
                     flat = np.broadcast_to(
-                        h[None], (t1 - t0,) + h.shape).reshape(
-                            ((t1 - t0) * batch,) + h.shape[1:])
+                        h[None], (passes,) + h.shape).reshape(
+                            (passes * batch,) + h.shape[1:])
                 for step in rest:
                     flat = step(flat)
-                outs.append(flat.reshape((t1 - t0, batch) + flat.shape[1:]))
+                outs.append(flat.reshape((passes, batch) + flat.shape[1:]))
         finally:
             self._clear()
             self._set_passes_per_call(1)
@@ -509,8 +500,7 @@ class BayesianCim:
     __call__ = forward
 
     def mc_forward(self, x: np.ndarray, n_samples: int = 20,
-                   batched: bool = True,
-                   chunk_passes: Optional[int] = None) -> PredictiveResult:
+                   batched: bool = True) -> PredictiveResult:
         """Monte-Carlo Bayesian inference on hardware: T passes.
 
         ``batched=True`` (default) evaluates all passes through the
@@ -519,19 +509,15 @@ class BayesianCim:
         tests pin the batched engine against).
         """
         if batched:
-            return self.mc_forward_batched(x, n_samples=n_samples,
-                                           chunk_passes=chunk_passes)
+            return self.mc_forward_batched(x, n_samples=n_samples)
         return mc_predict_fn(lambda inp: self.forward(inp, stochastic=True),
                              x, n_samples=n_samples)
 
-    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20,
-                           chunk_passes: Optional[int] = None
+    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20
                            ) -> PredictiveResult:
         """Batched MC inference: one stacked evaluation of all T passes."""
-        return mc_predict_batched(
-            lambda inp, t: self.forward_batched(inp, t,
-                                                chunk_passes=chunk_passes),
-            x, n_samples=n_samples)
+        return mc_predict_batched(self.forward_batched, x,
+                                  n_samples=n_samples)
 
     def deterministic_forward(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, stochastic=False)

@@ -8,13 +8,13 @@ distribution whose entropy is the uncertainty *map* the safety-
 critical applications consume (flagging unknown objects pixel-wise).
 
 Inference runs through the **pass-stacked engine** by default:
-:func:`mc_segment_batched` pre-draws every stochastic layer's T
-per-pass spatial mask banks in sequential RNG order and evaluates all
-passes as one ``(T·N, C, H, W)`` tensor, so one prediction costs a
-handful of ndarray ops instead of T Python-level decoder walks — and
-every conv/pool forward inside it reuses the memoized im2col index
-plans in :mod:`repro.tensor.functional`.  Outputs are bit-for-bit
-identical to the sequential loop (``batched=False``).
+:func:`mc_segment` pre-draws every stochastic layer's T per-pass
+spatial mask banks in sequential RNG order and evaluates all passes as
+one ``(T·N, C, H, W)`` tensor, so one prediction costs a handful of
+ndarray ops instead of T Python-level decoder walks — and every
+conv/pool forward inside it reuses the memoized im2col index plans in
+:mod:`repro.tensor.functional`.  Outputs are bit-for-bit identical to
+the sequential loop (``batched=False``).
 
 Training uses per-pixel cross-entropy; see
 :func:`segmentation_loss` / :func:`repro.uncertainty.metrics.mean_iou`.
@@ -49,7 +49,6 @@ __all__ = [
     "SegmenterEngine",
     "make_bayesian_segmenter",
     "mc_segment",
-    "mc_segment_batched",
     "pixel_maps",
     "segmentation_loss",
 ]
@@ -96,26 +95,29 @@ def segmentation_loss(logits: Tensor, masks: np.ndarray) -> Tensor:
 
 
 def mc_segment(model: nn.Module, images: np.ndarray,
-               n_samples: int = 10, batched: bool = True,
-               chunk_passes: Optional[int] = None) -> PredictiveResult:
+               n_samples: int = 10, batched: bool = True) -> PredictiveResult:
     """Monte-Carlo per-pixel predictive distribution.
 
     Returns a :class:`PredictiveResult` whose ``probs`` has shape
     (N·H·W, C) — reshape with :func:`pixel_maps` for visualization.
 
-    ``batched=True`` (default) evaluates all T passes as one stacked
-    ``(T·N, C, H, W)`` tensor when every stochastic layer supports
-    per-row mask banks (see :func:`mc_segment_batched`); otherwise —
-    or with ``batched=False`` — it runs the sequential per-pass loop.
-    Both strategies draw the per-pass randomness in the same stream
-    order, so the outputs are bit-for-bit identical either way.  The
-    model's train/eval mode is restored on return.
+    ``batched=True`` (default) is the pass-stacked engine: it pre-draws
+    every stochastic layer's T per-pass mask banks in sequential RNG
+    order (pass-major across the model's layers — the order T
+    sequential forwards would draw in), installs them as per-row banks,
+    and pushes one ``(T·N, C, H, W)`` pass-stack through the model,
+    paying the Python-level layer walk and im2col plan lookups once
+    instead of T times.  Models containing a stochastic layer without
+    per-row bank support — and ``batched=False`` — run the sequential
+    per-pass loop.  Both strategies draw the per-pass randomness in the
+    same stream order, so the outputs (probs and per-pass samples) are
+    bit-for-bit identical either way.  The model's train/eval mode is
+    restored on return.
     """
     state = _enter_mc_eval(model)
     try:
         if batched:
-            result = _mc_segment_stacked(model, images, n_samples,
-                                         chunk_passes)
+            result = _mc_segment_stacked(model, images, n_samples)
             if result is not None:
                 return result
         samples = []
@@ -131,34 +133,8 @@ def mc_segment(model: nn.Module, images: np.ndarray,
         _exit_mc_eval(model, state)
 
 
-def mc_segment_batched(model: nn.Module, images: np.ndarray,
-                       n_samples: int = 10,
-                       chunk_passes: Optional[int] = None
-                       ) -> PredictiveResult:
-    """Pass-stacked Monte-Carlo segmentation engine.
-
-    Pre-draws every stochastic layer's T per-pass mask banks in
-    sequential RNG order (pass-major across the model's layers — the
-    order T sequential forwards would draw in), installs them as
-    per-row banks, and pushes one ``(T·N, C, H, W)`` pass-stack
-    through the model.  Bit-for-bit identical to the sequential loop
-    (:func:`mc_segment` with ``batched=False``) — same probs, same
-    per-pass samples — while paying the Python-level layer walk and
-    im2col plan lookups once instead of T times.
-
-    ``chunk_passes`` bounds peak memory by stacking at most that many
-    passes per forward.  Models containing a stochastic layer without
-    per-row bank support fall back to the sequential loop (identical
-    outputs, just slower).  The model's train/eval mode is restored on
-    return.
-    """
-    return mc_segment(model, images, n_samples=n_samples, batched=True,
-                      chunk_passes=chunk_passes)
-
-
 def _mc_segment_stacked(model: nn.Module, images: np.ndarray,
-                        n_samples: int, chunk_passes: Optional[int]
-                        ) -> Optional[PredictiveResult]:
+                        n_samples: int) -> Optional[PredictiveResult]:
     """Stacked evaluation of all T segmentation passes; None if
     unsupported.
 
@@ -179,87 +155,74 @@ def _mc_segment_stacked(model: nn.Module, images: np.ndarray,
     if not supported:
         return None
     banks = _mc_draw_banks(modules, n, n_samples)
-
-    chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
-    outs = []
     try:
         with no_grad():
             # The encoder stage before the first Spatial-SpinDrop is
             # pass-invariant: evaluate it once on the raw images and
             # broadcast across the pass-stack.
             base = _run_layers(prefix, x)
-            # Fuse a leading dropout→conv pair into pass-invariant
-            # per-channel partial convs where exactness allows.
-            gated = _channel_gated_conv_plan(suffix, modules, base)
-            if gated is not None:
+            for module, bank in zip(modules, banks):
+                module.mc_install_bank(bank, n)
+            stacked = _channel_gated_conv(suffix, modules, banks, base)
+            if stacked is None:
+                stacked = np.broadcast_to(
+                    base[None], (n_samples,) + base.shape).reshape(
+                        (n_samples * n,) + base.shape[1:])
+            else:
                 suffix = suffix[2:]
-            for t0 in range(0, n_samples, chunk):
-                t1 = min(t0 + chunk, n_samples)
-                p = t1 - t0
-                for module, bank in zip(modules, banks):
-                    module.mc_install_bank(bank[t0:t1], n)
-                if gated is not None:
-                    stacked = _channel_gated_conv_apply(
-                        gated, banks[gated[0]][t0:t1])
-                else:
-                    stacked = np.broadcast_to(
-                        base[None], (p,) + base.shape).reshape(
-                            (p * n,) + base.shape[1:])
-                logits = _run_layers(suffix, stacked)  # (P·N, C, H, W)
-                _, c, h, w = logits.shape
-                pixel_rows = logits.reshape(p, n, c, h, w).transpose(
-                    0, 1, 3, 4, 2).reshape(p, n * h * w, c)
-                # In-place softmax on the fresh pixel-row copy: the
-                # same sub/exp/div sequence as _softmax_np, without
-                # its three temporaries.
-                pixel_rows -= pixel_rows.max(axis=-1, keepdims=True)
-                np.exp(pixel_rows, out=pixel_rows)
-                pixel_rows /= pixel_rows.sum(axis=-1, keepdims=True)
-                outs.append(pixel_rows)
+            logits = _run_layers(suffix, stacked)      # (T·N, C, H, W)
+            _, c, h, w = logits.shape
+            pixel_rows = logits.reshape(n_samples, n, c, h, w).transpose(
+                0, 1, 3, 4, 2).reshape(n_samples, n * h * w, c)
+            # In-place softmax on the fresh pixel-row copy: the same
+            # sub/exp/div sequence as _softmax_np, without its three
+            # temporaries.
+            pixel_rows -= pixel_rows.max(axis=-1, keepdims=True)
+            np.exp(pixel_rows, out=pixel_rows)
+            pixel_rows /= pixel_rows.sum(axis=-1, keepdims=True)
     finally:
         for module in modules:
             module.mc_clear_bank()
-    samples = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-    return PredictiveResult.from_samples(samples)
+    return PredictiveResult.from_samples(pixel_rows)
 
 
-def _channel_gated_conv_plan(suffix, modules, base: np.ndarray):
-    """Fuse a leading [SpatialSpinDrop → BinaryConv2d] pair into
-    per-channel partial convolutions.
+def _channel_gated_conv(suffix, modules, banks, base: np.ndarray
+                        ) -> Optional[np.ndarray]:
+    """Run a leading [SpatialSpinDrop → BinaryConv2d] pair of
+    ``suffix`` as per-channel partial convolutions.
 
     Spatial dropout gates whole input feature maps, and convolution is
     linear over them: ``conv(x ⊙ m) = Σ_c m[c] · conv(x_c)``.  The
-    per-channel partials ``conv(x_c)`` are pass-invariant, so the
-    engine computes them once and reduces every MC pass to a
-    mask-weighted sum — the software mirror of the paper's wordline
-    gating, where a dropped feature map's crossbar rows simply never
-    fire.  Grouped kernels decompose the same way *within* each group
-    (output-channel block g sums only its own group's input maps), so
-    the plan holds one partial slab per group and the apply step
-    contracts each group's mask slice against its slab.  Exactness:
-    with ±1 kernels and {−1, 0, +1} activations all partial sums are
-    small integers, so the regrouped summation (and its float32
-    storage) is bit-identical to the fused GEMM the sequential loop
-    runs.
+    per-channel partials ``conv(x_c)`` are pass-invariant, so they are
+    computed once from ``base`` and every MC pass reduces to a
+    mask-weighted sum over the dropout layer's ``(T, N, C)`` bank — the
+    software mirror of the paper's wordline gating, where a dropped
+    feature map's crossbar rows simply never fire.  Grouped kernels
+    decompose the same way *within* each group (output-channel block g
+    sums only its own group's input maps), so each group's mask slice
+    is contracted against its own partials.  Exactness: with ±1 kernels
+    and {−1, 0, +1} activations all partial sums are small integers, so
+    the regrouped summation (and its float32 storage) is bit-identical
+    to the fused GEMM the sequential loop runs.
 
-    Returns ``(bank_index, conv, per-group partials, out_hw)`` or None
-    when the suffix does not start with the gated pair (or the
-    activations are not exact-integer, where regrouping could round
-    differently).
+    Returns the conv's ``(T·N, C_out, H', W')`` output, scaled and
+    biased exactly as its inference forward does, or None when the
+    suffix does not start with the gated pair (or the activations are
+    not exact-integer, where regrouping could round differently).
     """
     from repro.nn.binary import BinaryConv2d
 
     if len(suffix) < 2:
         return None
     drop, conv = suffix[0], suffix[1]
-    if not isinstance(drop, SpatialSpinDropout):
+    if not isinstance(drop, SpatialSpinDropout) or drop not in modules:
         return None
     if not isinstance(conv, BinaryConv2d) or conv.binarize_input:
         return None
-    if drop not in modules:
-        return None
     if not _is_exact_ternary(base):
         return None
+    bank = banks[modules.index(drop)]
+    passes = bank.shape[0]
     n, c, h0, w0 = base.shape
     groups = conv.groups
     c_per = c // groups
@@ -273,35 +236,22 @@ def _channel_gated_conv_plan(suffix, modules, base: np.ndarray):
                                                    conv.dilation)
     w_bin = np.where(conv.weight.data >= 0, np.float32(1), np.float32(-1))
     w_bin = w_bin.reshape(conv.out_channels, c_per, kh * kw)
-    partials = []
+    blocks = []
     for g in range(groups):
+        maps = slice(g * c_per, (g + 1) * c_per)
         # (N, C/G, KH·KW, L) patches of this group's input maps ×
         # (C/G, O/G, KH·KW) kernels → (N, C/G, O/G, L) partials.
-        patches = padded[:, g * c_per:(g + 1) * c_per, rows, cols_idx]
+        patches = padded[:, maps, rows, cols_idx]
         w_g = np.ascontiguousarray(
             w_bin[g * o_per:(g + 1) * o_per].transpose(1, 0, 2))
-        partials.append(np.matmul(w_g[None], patches))
-    return modules.index(drop), conv, partials, (out_h, out_w)
-
-
-def _channel_gated_conv_apply(plan, bank_slice: np.ndarray) -> np.ndarray:
-    """Contract one chunk of keep-mask banks against the per-group
-    partials, then apply the conv's scale/bias exactly as its
-    inference forward does."""
-    _, conv, partials, (out_h, out_w) = plan
-    p = bank_slice.shape[0]
-    blocks = []
-    c0 = 0
-    for slab in partials:
-        n, cg, og, length = slab.shape
-        masks = bank_slice[:, :, c0:c0 + cg].reshape(
-            p, n, 1, cg).astype(np.float32)
-        out_g = np.matmul(masks, slab.reshape(n, cg, og * length))
-        blocks.append(out_g.reshape(p, n, og, out_h, out_w))
-        c0 += cg
+        partials = np.matmul(w_g[None], patches)
+        masks = bank[:, :, maps].reshape(
+            passes, n, 1, c_per).astype(np.float32)
+        out_g = np.matmul(masks, partials.reshape(n, c_per, -1))
+        blocks.append(out_g.reshape(passes, n, o_per, out_h, out_w))
     out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=2)
     out = out.astype(np.float64).reshape(
-        p * bank_slice.shape[1], conv.out_channels, out_h, out_w)
+        passes * n, conv.out_channels, out_h, out_w)
     if conv.scale is not None:
         out *= conv.scale.data.reshape(1, -1, 1, 1)
     if conv.bias is not None:
@@ -312,13 +262,13 @@ def _channel_gated_conv_apply(plan, bank_slice: np.ndarray) -> np.ndarray:
 class SegmenterEngine:
     """Serving adapter: a Bayesian segmenter as a batched MC engine.
 
-    Exposes the ``mc_forward_batched(x, n_samples=..., chunk_passes=
-    ...)`` contract the schedulers expect, returning the *per-pixel*
-    predictive distribution — ``samples`` has shape (T, N·H·W, C), so
-    each input image contributes H·W result rows.  The schedulers
-    detect that expansion and hand every request back exactly its own
-    pixels; construct them with ``feature_shape=(C, H, W)`` so
-    image-shaped requests coalesce:
+    Exposes the ``mc_forward_batched(x, n_samples=...)`` contract the
+    schedulers expect, returning the *per-pixel* predictive
+    distribution — ``samples`` has shape (T, N·H·W, C), so each input
+    image contributes H·W result rows.  The schedulers detect that
+    expansion and hand every request back exactly its own pixels;
+    construct them with ``feature_shape=(C, H, W)`` so image-shaped
+    requests coalesce:
 
     >>> engine = SegmenterEngine(make_bayesian_segmenter(seed=0))
     >>> scheduler = BatchScheduler(engine, feature_shape=(1, 16, 16))
@@ -329,8 +279,7 @@ class SegmenterEngine:
     def __init__(self, model: nn.Module):
         self.model = model
 
-    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 10,
-                           chunk_passes: Optional[int] = None
+    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 10
                            ) -> PredictiveResult:
         """Pass-stacked MC segmentation in the scheduler contract.
 
@@ -340,9 +289,6 @@ class SegmenterEngine:
             Images, shape ``(N, C, H, W)``.
         n_samples:
             Monte-Carlo passes T.
-        chunk_passes:
-            Evaluate the pass-stack in chunks of this many passes to
-            bound peak memory (``None`` = all at once).
 
         Returns
         -------
@@ -350,12 +296,10 @@ class SegmenterEngine:
             Per-*pixel* distribution: ``samples`` is
             ``(T, N·H·W, C)``, i.e. H·W result rows per input image.
         """
-        return mc_segment_batched(self.model, x, n_samples=n_samples,
-                                  chunk_passes=chunk_passes)
+        return mc_segment(self.model, x, n_samples=n_samples)
 
     def mc_forward(self, x: np.ndarray, n_samples: int = 10,
-                   batched: bool = True,
-                   chunk_passes: Optional[int] = None) -> PredictiveResult:
+                   batched: bool = True) -> PredictiveResult:
         """Like :meth:`mc_forward_batched`, with an escape hatch.
 
         ``batched=False`` runs the sequential per-pass loop instead
@@ -364,7 +308,7 @@ class SegmenterEngine:
         :meth:`mc_forward_batched`.
         """
         return mc_segment(self.model, x, n_samples=n_samples,
-                          batched=batched, chunk_passes=chunk_passes)
+                          batched=batched)
 
 
 def pixel_maps(result: PredictiveResult, image_shape: tuple):

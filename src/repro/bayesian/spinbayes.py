@@ -259,8 +259,8 @@ class SpinBayesNetwork:
                 "rng_cycle", n_samples * arbiter.cycles_per_selection)
         return selections
 
-    def forward_batched(self, x: np.ndarray, n_samples: int = 20,
-                        chunk_passes: Optional[int] = None) -> np.ndarray:
+    def forward_batched(self, x: np.ndarray, n_samples: int = 20
+                        ) -> np.ndarray:
         """All T MC passes as stacked ndarray ops; logits (T, N, C).
 
         Bit-for-bit identical to T calls of :meth:`forward` under the
@@ -277,12 +277,9 @@ class SpinBayesNetwork:
         once and broadcast, its ledger delta booked T-fold.
 
         When cycle-to-cycle read noise is enabled the crossbars are no
-        longer pass-deterministic, so the engine drops to one pass per
+        longer pass-deterministic, so the engine runs one pass per
         stacked call and disables prefix memoization — the noise stream
         is then consumed draw-for-draw in sequential order.
-
-        ``chunk_passes`` bounds peak memory by evaluating at most that
-        many passes per stacked call (default: all at once).
         """
         if n_samples < 1:
             raise ValueError("need at least one MC sample")
@@ -292,10 +289,9 @@ class SpinBayesNetwork:
         batch = x.shape[0]
         selections = self._draw_selections(n_samples)
 
-        chunk = n_samples if chunk_passes is None else max(1, int(chunk_passes))
-        split = self._split
+        passes, split = n_samples, self._split
         if has_read_noise(self.config.variability):
-            chunk, split = 1, 0
+            passes, split = 1, 0
 
         # Pass-invariant prefix: run once, book T-fold.
         h = x
@@ -309,16 +305,15 @@ class SpinBayesNetwork:
         layers = self.mvm_layers()
         outs = []
         try:
-            for t0 in range(0, n_samples, chunk):
-                t1 = min(t0 + chunk, n_samples)
+            for t0 in range(0, n_samples, passes):
                 for j, layer in enumerate(layers):
-                    layer.selections = selections[t0:t1, j]
+                    layer.selections = selections[t0:t0 + passes, j]
                 flat = np.broadcast_to(
-                    h[None], (t1 - t0,) + h.shape).reshape(
-                        ((t1 - t0) * batch,) + h.shape[1:])
+                    h[None], (passes,) + h.shape).reshape(
+                        (passes * batch,) + h.shape[1:])
                 for step in rest:
                     flat = step(flat)
-                outs.append(flat.reshape((t1 - t0, batch) + flat.shape[1:]))
+                outs.append(flat.reshape((passes, batch) + flat.shape[1:]))
         finally:
             for layer in layers:
                 layer.selections = None
@@ -327,8 +322,7 @@ class SpinBayesNetwork:
         return np.concatenate(outs, axis=0)
 
     def mc_forward(self, x: np.ndarray, n_samples: int = 20,
-                   batched: bool = True,
-                   chunk_passes: Optional[int] = None) -> PredictiveResult:
+                   batched: bool = True) -> PredictiveResult:
         """Monte-Carlo Bayesian inference on hardware: T passes.
 
         ``batched=True`` (default) evaluates all passes through the
@@ -337,18 +331,14 @@ class SpinBayesNetwork:
         tests pin the batched engine against).
         """
         if batched:
-            return self.mc_forward_batched(x, n_samples=n_samples,
-                                           chunk_passes=chunk_passes)
+            return self.mc_forward_batched(x, n_samples=n_samples)
         return mc_predict_fn(self.forward, x, n_samples=n_samples)
 
-    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20,
-                           chunk_passes: Optional[int] = None
+    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20
                            ) -> PredictiveResult:
         """Batched MC inference: one stacked evaluation of all T passes."""
-        return mc_predict_batched(
-            lambda inp, t: self.forward_batched(inp, t,
-                                                chunk_passes=chunk_passes),
-            x, n_samples=n_samples)
+        return mc_predict_batched(self.forward_batched, x,
+                                  n_samples=n_samples)
 
     def mvm_layers(self) -> List[SpinBayesMvm]:
         return self.network.mvm_layers()

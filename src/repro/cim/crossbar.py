@@ -454,7 +454,11 @@ class AnalogCrossbar:
             g = self.variability.perturb_conductances(g)
         if self._defects is not None:
             g = self._defects.apply_to_conductances(g, g_hi, g_lo)
-        self._g = g
+        # C order, whatever the layout of ``values`` (SpinBayes programs
+        # a transpose): the decoded operand's layout picks the BLAS
+        # kernel, so a live array and one restored from a snapshot must
+        # share it to read bit-identical MACs.
+        self._g = np.ascontiguousarray(g)
         # Each multi-level cell programs ceil(log2(levels)) junction writes.
         writes_per_cell = max(1, int(np.ceil(np.log2(self.n_levels))))
         self.ledger.add("mtj_write", values.size * writes_per_cell)
@@ -472,7 +476,7 @@ class AnalogCrossbar:
         if g.shape != (self.n_rows, self.n_cols):
             raise ValueError(
                 f"state shape {g.shape} != ({self.n_rows}, {self.n_cols})")
-        self._g = g
+        self._g = np.ascontiguousarray(g)
         self._v_min = float(state["v_min"])
         self._v_max = float(state["v_max"])
 

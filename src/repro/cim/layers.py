@@ -119,12 +119,12 @@ class CrossbarGrid:
     An exact grid also serves *channel-gated* drives, where MC pass
     ``p`` asserts only the wordline groups of the input channels that
     ``keep[p]`` keeps (Spatial-SpinDrop in front of a conv).
-    :meth:`channel_partials` computes every channel's partial MAC once
-    from the pass-invariant drive, and :meth:`mvm_gated` forms each
-    pass's partial sum as ``Σ_c keep[p, c] · partial_c`` and reads it
-    through the same ADCs and ledger bookings as :meth:`mvm`.  The
-    regrouped sum holds the same integers as the GEMM on the gated
-    drive, so the result is bit-identical.
+    :meth:`mvm_gated` computes every channel's partial MAC once from
+    the pass-invariant drive, forms each pass's partial sum as
+    ``Σ_c keep[p, c] · partial_c`` and reads it through the same ADCs
+    and ledger bookings as :meth:`mvm`.  The regrouped sum holds the
+    same integers as the GEMM on the gated drive, so the result is
+    bit-identical.
     """
 
     def __init__(self, weights: np.ndarray, row_chunks, col_chunks,
@@ -193,19 +193,25 @@ class CrossbarGrid:
                     bar.book_mvm(total_active)
             out += adc.convert(partial)
 
-    def channel_partials(self, drive: np.ndarray, width: int) -> list:
-        """The pass-invariant half of :meth:`mvm_gated`.
+    def mvm_gated(self, drive: np.ndarray, width: int, keep: np.ndarray,
+                  out: np.ndarray) -> None:
+        """Add each pass's ADC-read MAC of a channel-gated drive to ``out``.
 
-        ``drive`` is a float32 ``(…, K, B)`` stack of drives (as for
-        :meth:`mvm`, leading axes optional) whose rows are
-        channel-major, ``width`` rows per input channel.  A row chunk
+        ``drive`` is a float32 ``(…, K, B)`` stack of pass-invariant
+        drives (as for :meth:`mvm`, leading axes optional) whose rows
+        are channel-major, ``width`` rows per input channel; ``keep`` is
+        a float32 ``(P, channels)`` bank of 0/1, row ``p`` the channels
+        pass ``p`` drives; ``out`` is ``(P, …, C, B)``.  A row chunk
         need not hold whole channels (``max_rows`` need not be a
         multiple of ``width``), so each chunk is cut into channel
-        segments.  Returns, per row chunk, ``(c0, c1, partials,
-        active)``: the chunk's channels ``c0 … c1−1``, each segment's
-        ``(…, C, B)`` partial MAC on the chunk's arrays, stacked on a
-        new first axis, and each segment's count of asserted wordlines
-        over the whole stack.
+        segments, whose partial MACs on the chunk's arrays are computed
+        once and contracted right away.  Pass ``p``'s partial sum
+        ``Σ_c keep[p, c] · partial_c`` holds the integers the float32
+        route of :meth:`mvm` computes on the gated drive: every term is
+        an integer and every sum is bounded by the chunk's row count,
+        far below 2^24, so the regrouping rounds nothing.  Each array
+        books the asserted wordlines of every pass,
+        ``Σ_p Σ_c keep[p, c] · active_c``, as :meth:`mvm` would.
         """
         if not self.exact:
             raise ValueError("channel-gated MVMs need an exact grid")
@@ -214,11 +220,13 @@ class CrossbarGrid:
         active_rows = np.count_nonzero(
             drive.view(np.int32),
             axis=tuple(a for a in range(drive.ndim) if a != row_axis))
-        chunks = []
-        for (r0, r1), bars in zip(self.row_chunks, self.bars):
+        passes = keep.shape[0]
+        kept = np.count_nonzero(keep, axis=0)
+        for (r0, r1), bars, adc in zip(self.row_chunks, self.bars,
+                                       self.adcs):
             c0, c1 = r0 // width, -(-r1 // width)
-            partials = np.empty((c1 - c0,) + lead + (n_cols, drive.shape[-1]),
-                                dtype=np.float32)
+            part = np.empty((c1 - c0,) + lead + (n_cols, drive.shape[-1]),
+                            dtype=np.float32)
             active = np.empty(c1 - c0, dtype=np.int64)
             for k, channel in enumerate(range(c0, c1)):
                 s0 = max(r0, channel * width)
@@ -227,28 +235,7 @@ class CrossbarGrid:
                 for bar, (j0, j1) in zip(bars, self.col_chunks):
                     np.matmul(bar.signed_weights_t()[:, s0 - r0:s1 - r0],
                               drive[..., s0:s1, :],
-                              out=partials[k, ..., j0:j1, :])
-            chunks.append((c0, c1, partials, active))
-        return chunks
-
-    def mvm_gated(self, partials: list, keep: np.ndarray,
-                  out: np.ndarray) -> None:
-        """Add each pass's ADC-read MAC of a channel-gated drive to ``out``.
-
-        ``partials`` comes from :meth:`channel_partials`; ``keep`` is a
-        float32 ``(P, channels)`` bank of 0/1, row ``p`` the channels
-        pass ``p`` drives; ``out`` is ``(P, …, C, B)``.  Pass ``p``'s
-        partial sum ``Σ_c keep[p, c] · partial_c`` holds the integers
-        the float32 route of :meth:`mvm` computes on the gated drive:
-        every term is an integer and every sum is bounded by the chunk's
-        row count, far below 2^24, so the regrouping rounds nothing.
-        Each array books the asserted wordlines of every pass,
-        ``Σ_p Σ_c keep[p, c] · active_c``, as :meth:`mvm` would.
-        """
-        passes = keep.shape[0]
-        kept = np.count_nonzero(keep, axis=0)
-        for (c0, c1, part, active), bars, adc in zip(partials, self.bars,
-                                                     self.adcs):
+                              out=part[k, ..., j0:j1, :])
             psum = np.matmul(keep[:, c0:c1], part.reshape(c1 - c0, -1))
             total_active = int(kept[c0:c1] @ active)
             for bar in bars:
@@ -405,7 +392,8 @@ class CimConv2d(_GridLayer):
     and this conv as one *gated conv* on exact grids: ``x`` holds the
     N pass-invariant images, ``bank`` one keep row per MC pass, and
     the patches are gathered once from the N images instead of from
-    P·N gated copies (see :meth:`CrossbarGrid.mvm_gated`).
+    P·N gated copies; each channel's partial MACs are computed once
+    per call (see :meth:`CrossbarGrid.mvm_gated`).
     """
 
     def __init__(self, binary_weights: np.ndarray,
@@ -490,21 +478,17 @@ class CimConv2d(_GridLayer):
         """The conv of ``x``: ``(N, C, H, W)``, or with leading sample axes.
 
         With ``keep``, a ``(P, C_in)`` bank of keep masks, one row per
-        MC pass, ``x`` holds the N images a channel-wise
+        MC pass, ``x`` holds the ``(N, C, H, W)`` images a channel-wise
         :class:`DropoutGate` gates, and the result stacks the P passes
         pass-major, ``(P·N, C_out, H', W')``: bit for bit the gate's and
         this conv's stacked forward on ``x`` repeated P times, with the
-        same ledger bookings except the gate's own.  ``x`` may be a
-        :class:`GatedConvInput`, which keeps the images' per-channel
-        partial MACs for further calls with other keep banks.  The
-        grids must be :attr:`exact` and the images finite (``0·NaN``
-        still drives a wordline in the stacked forward).
+        same ledger bookings except the gate's own.  The grids must be
+        :attr:`exact` and the images finite (``0·NaN`` still drives a
+        wordline in the stacked forward).
         """
-        if keep is not None:
-            if not isinstance(x, GatedConvInput):
-                x = GatedConvInput(self, x)
-            return self._forward_gated(x, np.asarray(keep))
         x = np.asarray(x, dtype=np.float64)
+        if keep is not None:
+            return self._forward_gated(x, np.asarray(keep))
         lead, x = split_leading_axes(x, 3)   # (T, N, C, H, W) sample axis
         n = x.shape[0]
         patches, (out_h, out_w) = self._patches(x)
@@ -519,54 +503,29 @@ class CimConv2d(_GridLayer):
         ).reshape(n, self.c_out, out_h, out_w)
         return merge_leading_axes(lead, out)
 
-    def _forward_gated(self, x: "GatedConvInput",
-                       keep: np.ndarray) -> np.ndarray:
-        if x.conv is not self:
-            raise ValueError("gated input was made for another conv")
+    def _forward_gated(self, x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+        if not self.exact:
+            raise ValueError("a gated conv needs exact crossbar grids")
+        if x.ndim != 4:
+            raise ValueError("a gated conv expects (N, C, H, W) images")
         if keep.ndim != 2 or keep.shape[1] != self.c_in:
             raise ValueError(f"keep bank of shape {keep.shape} does not "
                              f"gate {self.c_in} input channels")
-        n = x.images.shape[0]
-        if x.partials is None:
-            patches, x.out_hw = self._patches(x.images)
-            # One (C_in/g·K², L) drive per image, so that the partial
-            # MACs, and with them the output, come out image-major.
-            drives = np.ascontiguousarray(patches.reshape(
-                self.groups, -1, x.out_hw[0] * x.out_hw[1], n
-            ).transpose(0, 3, 1, 2))
-            x.partials = [grid.channel_partials(drive, self.kh ** 2)
-                          for grid, drive in zip(self.grids, drives)]
+        n = x.shape[0]
+        patches, (out_h, out_w) = self._patches(x)
+        # One (C_in/g·K², L) drive per image, so that the partial MACs,
+        # and with them the output, come out image-major.
+        drives = np.ascontiguousarray(patches.reshape(
+            self.groups, -1, out_h * out_w, n).transpose(0, 3, 1, 2))
         passes = keep.shape[0]
-        out_h, out_w = x.out_hw
         keep = (keep > 0).astype(np.float32).reshape(passes, self.groups, -1)
         out = np.zeros((passes, n, self.groups, self.c_out // self.groups,
                         out_h * out_w))
-        for g, (grid, partials) in enumerate(zip(self.grids, x.partials)):
-            grid.mvm_gated(partials, keep[:, g], out[:, :, g])
+        for g, (grid, drive) in enumerate(zip(self.grids, drives)):
+            grid.mvm_gated(drive, self.kh ** 2, keep[:, g], out[:, :, g])
         out = out.reshape(passes, n, self.c_out, out_h * out_w)
         self._scale_bias(out)
         return out.reshape(passes * n, self.c_out, out_h, out_w)
-
-
-class GatedConvInput:
-    """Pass-invariant images of a channel-gated :class:`CimConv2d`.
-
-    The first gated :meth:`CimConv2d.forward` on it gathers the
-    images' patches once and fills in every grid's per-channel partial
-    MACs (:meth:`CrossbarGrid.channel_partials`); later calls with
-    other keep banks, such as the batched MC engine's pass chunks,
-    reuse them.
-    """
-
-    def __init__(self, conv: CimConv2d, images: np.ndarray):
-        if not conv.exact:
-            raise ValueError("a gated conv needs exact crossbar grids")
-        self.conv = conv
-        self.images = np.asarray(images, dtype=np.float64)
-        if self.images.ndim != 4:
-            raise ValueError("a gated conv expects (N, C, H, W) images")
-        self.partials: Optional[list] = None
-        self.out_hw = (0, 0)
 
 
 def has_read_noise(variability: Optional[DeviceVariability]) -> bool:
@@ -765,13 +724,13 @@ class SpinBayesMvm(CimLayer):
         drives are booked exactly as the hardware's P readouts cost.
         With read noise each pass must re-draw the conductance
         fluctuation, so the layer falls back to one
-        :meth:`AnalogCrossbar.matvec` call per distinct component
-        (the engine also chunks to one pass per call in that case,
-        preserving the noise stream draw-for-draw).  Ledger totals
-        equal P sequential :meth:`forward` calls either way because
-        every booking is proportional to the rows processed; the
-        arbiter's RNG cycles are booked at selection-draw time by the
-        network.
+        :meth:`AnalogCrossbar.matvec` call per pass, in pass order:
+        the noise stream is consumed draw-for-draw as P :meth:`forward`
+        calls consume it, and passes that select one component still
+        read it through fresh noise.  Ledger totals equal P sequential
+        :meth:`forward` calls either way because every booking is
+        proportional to the rows processed; the arbiter's RNG cycles
+        are booked at selection-draw time by the network.
         """
         selections = np.asarray(selections, dtype=np.int64)
         n_passes = selections.size
@@ -796,11 +755,8 @@ class SpinBayesMvm(CimLayer):
             self.ledger.add("dac_drive", in_features * x.shape[0])
         else:
             out = np.empty((x.shape[0], self.out_features), dtype=np.float64)
-            offsets = np.arange(rows_per_pass)
-            for component in np.unique(selections):
-                passes = np.nonzero(selections == component)[0]
-                rows = (passes[:, None] * rows_per_pass
-                        + offsets[None, :]).ravel()
+            for t, component in enumerate(selections):
+                rows = slice(t * rows_per_pass, (t + 1) * rows_per_pass)
                 out[rows] = self.crossbars[component].matvec(x[rows])
         self.last_selected = int(selections[-1])
         self.ledger.add("adc_conversion", out.size)
@@ -1128,8 +1084,9 @@ class DropoutGate(CimLayer):
     flattened ``(T·N, …)`` batch — so all T per-pass masks apply in a
     single stacked multiply.  When a channel-wise gate feeds a
     :class:`CimConv2d` on exact grids, the engine skips this stage:
-    the conv reads the gate's per-pass bank as its ``keep`` argument
-    (a gated conv), and the engine books the gate's digital ops.
+    the conv reads the gate's T-row per-pass bank as its ``keep``
+    argument (a gated conv), and the engine books the gate's digital
+    ops.
     """
 
     def __init__(self, p: float, channelwise: bool, ledger: OpLedger):
@@ -1181,8 +1138,10 @@ class DigitalScale(CimLayer):
     sample of the flattened ``(T·N, …)`` batch.
 
     ``passes_per_call`` declares how many MC passes one forward call
-    represents, so the SRAM re-read each hardware pass performs stays
-    booked identically whether the passes run sequentially or stacked.
+    represents (T in the batched engine's stacked call, 1 under read
+    noise and in the sequential loop), so the SRAM re-read each
+    hardware pass performs stays booked identically whether the passes
+    run sequentially or stacked.
     """
 
     def __init__(self, scale: np.ndarray, spatial: bool, ledger: OpLedger):

@@ -94,39 +94,49 @@ def _encode_array(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _stored_bytes(stored: np.ndarray):
+    """The bytes an encoded array occupies in the blob (no copy unless
+    0-d)."""
+    return stored.data if stored.ndim else stored.tobytes()
+
+
+def _index_entry(arr: np.ndarray, stored: np.ndarray) -> dict:
+    """An array's dtype/shape plus a CRC-32 checksum of its stored
+    bytes (``stored`` is :func:`_encode_array` of ``arr``).  At load
+    the checksums are verified straight against the blob slices.  The
+    manifest's SHA-256 content hash covers the index, so any byte flip
+    or metadata edit changes the verification outcome.  CRC-32 runs at
+    several GB/s in one C pass — hashing every byte with SHA-256 made
+    artifact loads slower than the compile they replace."""
+    entry = {
+        "dtype": np.lib.format.dtype_to_descr(arr.dtype),
+        "shape": list(arr.shape),
+        "crc32": zlib.crc32(_stored_bytes(stored)),
+    }
+    if stored.dtype != arr.dtype:
+        entry["store"] = np.lib.format.dtype_to_descr(stored.dtype)
+    return entry
+
+
 def _array_index(arrays: Dict[str, np.ndarray]) -> Dict[str, dict]:
-    """Per-array dtype/shape plus a CRC-32 checksum of its stored
-    bytes.  The same index is computed at capture and at write; at
-    load the checksums are verified straight against the blob slices.
-    The manifest's SHA-256 content hash covers the index, so any byte
-    flip or metadata edit changes the verification outcome.  CRC-32
-    runs at several GB/s in one C pass — hashing every byte with
-    SHA-256 made artifact loads slower than the compile they
-    replace."""
-    index = {}
-    for key in sorted(arrays):
-        arr = arrays[key]
-        stored = _encode_array(arr)
-        entry = {
-            "dtype": np.lib.format.dtype_to_descr(arr.dtype),
-            "shape": list(arr.shape),
-            "crc32": zlib.crc32(stored.data if stored.ndim
-                                else stored.tobytes()),
-        }
-        if stored.dtype != arr.dtype:
-            entry["store"] = np.lib.format.dtype_to_descr(stored.dtype)
-        index[key] = entry
-    return index
+    """The ``arrays`` index of a manifest, in sorted key order."""
+    return {key: _index_entry(arrays[key], _encode_array(arrays[key]))
+            for key in sorted(arrays)}
 
 
-def _content_hash(manifest: dict, arrays: Dict[str, np.ndarray]) -> str:
-    """SHA-256 over the canonical manifest (minus the hash and any
-    stale index field) plus the freshly computed array index."""
-    payload = {k: v for k, v in manifest.items()
-               if k not in ("content_hash", "arrays")}
-    payload["arrays"] = _array_index(arrays)
-    return hashlib.sha256(
-        _canonical_json(payload).encode("utf-8")).hexdigest()
+def _manifest_hash(manifest: dict) -> str:
+    """SHA-256 over the canonical manifest minus its own hash."""
+    return hashlib.sha256(_canonical_json(
+        {k: v for k, v in manifest.items() if k != "content_hash"}
+    ).encode("utf-8")).hexdigest()
+
+
+def _seal(manifest: dict, index: Dict[str, dict]) -> dict:
+    """A copy of ``manifest`` carrying the array ``index``, the
+    ``format_version`` and the ``content_hash`` over both."""
+    sealed = dict(manifest, arrays=index, format_version=FORMAT_VERSION)
+    sealed["content_hash"] = _manifest_hash(sealed)
+    return sealed
 
 
 def _blob_offset(pos: int) -> int:
@@ -137,33 +147,29 @@ def write_artifact(path: str, manifest: dict,
                    arrays: Dict[str, np.ndarray]) -> str:
     """Persist a (manifest, arrays) pair as a sealed directory artifact.
 
-    The arrays are packed, C-order and ``_ALIGN``-padded in sorted key
-    order, into one ``arrays.bin`` blob; the manifest gains an
+    The arrays are written, C-order and ``_ALIGN``-padded in sorted key
+    order, one after the other into one ``arrays.bin`` blob, each
+    encoded and indexed once on its way; the manifest gains an
     ``arrays`` index (dtype/shape/CRC-32 per key — offsets are implied
     by the packing rule), ``format_version``, and ``content_hash``.
     ``manifest`` must carry a ``kind`` tag.  Returns the content hash.
     """
     if "kind" not in manifest:
         raise ValueError("artifact manifest needs a 'kind' tag")
-    manifest = dict(manifest)
-    manifest["arrays"] = _array_index(arrays)
-    manifest["format_version"] = FORMAT_VERSION
-    manifest["content_hash"] = _content_hash(manifest, arrays)
-    chunks = []
-    pos = 0
-    for key in sorted(arrays):
-        arr = _encode_array(arrays[key])
-        pad = -pos % _ALIGN
-        if pad:
-            chunks.append(b"\x00" * pad)
-        data = arr.tobytes()
-        chunks.append(data)
-        pos += pad + len(data)
     os.makedirs(path, exist_ok=True)
+    index = {}
+    with open(os.path.join(path, ARRAYS_NAME), "wb") as fh:
+        pos = 0
+        for key in sorted(arrays):
+            stored = _encode_array(arrays[key])
+            index[key] = _index_entry(arrays[key], stored)
+            pad = -pos % _ALIGN
+            fh.write(b"\x00" * pad)
+            fh.write(_stored_bytes(stored))
+            pos += pad + stored.nbytes
+    manifest = _seal(manifest, index)
     with open(os.path.join(path, MANIFEST_NAME), "w", encoding="utf-8") as fh:
         fh.write(_canonical_json(manifest))
-    with open(os.path.join(path, ARRAYS_NAME), "wb") as fh:
-        fh.write(b"".join(chunks))
     return manifest["content_hash"]
 
 
@@ -231,7 +237,7 @@ def read_artifact(path: str, kind: Optional[str] = None
             arr = np.frombuffer(
                 blob, dtype=stored, count=count, offset=pos).reshape(shape)
             bytes_ok = bytes_ok and zlib.crc32(
-                arr.data if arr.ndim else arr.tobytes()) == entry["crc32"]
+                _stored_bytes(arr)) == entry["crc32"]
             arrays[key] = arr if stored == dtype else arr.astype(dtype)
             pos += count * stored.itemsize
     except (KeyError, TypeError, ValueError) as exc:
@@ -245,11 +251,8 @@ def read_artifact(path: str, kind: Optional[str] = None
     # array index; each array's stored bytes are checked against the
     # index's CRC-32 — together any byte or metadata change trips one
     # of them.
-    expected = manifest.get("content_hash")
-    actual = hashlib.sha256(_canonical_json(
-        {k: v for k, v in manifest.items()
-         if k != "content_hash"}).encode("utf-8")).hexdigest()
-    if expected != actual or not bytes_ok:
+    if manifest.get("content_hash") != _manifest_hash(manifest) \
+            or not bytes_ok:
         raise SnapshotError(
             f"artifact content hash mismatch at {path!r}: the artifact "
             "was modified or truncated after it was written")
@@ -565,9 +568,7 @@ class DeploymentSnapshot:
             raise TypeError(
                 f"cannot snapshot {type(engine).__name__}; expected "
                 "BayesianCim or SpinBayesNetwork")
-        manifest["format_version"] = FORMAT_VERSION
-        manifest["content_hash"] = _content_hash(manifest, arrays)
-        return cls(manifest, arrays)
+        return cls(_seal(manifest, _array_index(arrays)), arrays)
 
     @property
     def engine_kind(self) -> str:

@@ -12,7 +12,7 @@ expanded into seeded, deterministic runs.  Every run evaluates one
 trained model family through its batched engine
 (:meth:`BayesianCim.mc_forward_batched`,
 :meth:`SpinBayesNetwork.mc_forward_batched`, or
-:func:`mc_segment_batched`) under the scenario's deployment and data
+:func:`mc_segment`) under the scenario's deployment and data
 conditions and reports accuracy, NLL, ECE, Brier, OOD-AUROC and ledger
 energy totals.
 
@@ -51,7 +51,7 @@ from repro.bayesian import (
     make_scaledrop_mlp,
     make_spindrop_mlp,
     make_subset_vi_mlp,
-    mc_segment_batched,
+    mc_segment,
     segmentation_loss,
 )
 from repro.cim import CimConfig
@@ -705,8 +705,7 @@ def _segmenter_metrics(scenario: Scenario, preset: SweepPreset,
         x_eval = corrupt(x_eval, scenario.corruption,
                          severity=scenario.severity,
                          rng=np.random.default_rng(seed + 4))
-    result = mc_segment_batched(model, x_eval,
-                                n_samples=preset.seg_samples)
+    result = mc_segment(model, x_eval, n_samples=preset.seg_samples)
     labels = m_eval.reshape(-1)
     metrics = {
         "accuracy": float((result.predictions == labels).mean()),
@@ -721,8 +720,8 @@ def _segmenter_metrics(scenario: Scenario, preset: SweepPreset,
         x_ood, m_ood = segmentation_scenes(preset.seg_eval_scenes,
                                            seed=preset.train_seed + 2,
                                            ood_objects=True)
-        ood_result = mc_segment_batched(model, x_ood,
-                                        n_samples=preset.seg_samples)
+        ood_result = mc_segment(model, x_ood,
+                                n_samples=preset.seg_samples)
         # Per-image mean entropy over OBJECT pixels (background pixels
         # are trivially certain for both groups and would swamp the
         # score) — the §III-B.2 object-uncertainty protocol.

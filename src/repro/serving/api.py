@@ -59,7 +59,6 @@ class ServingConfig:
     # -- batching / MC (all backends) ----------------------------------
     n_samples: int = 20
     max_batch: int = 64
-    chunk_passes: Optional[int] = None
     feature_shape: Optional[tuple] = None
     flush_interval: Optional[float] = None
 
@@ -84,7 +83,6 @@ class ServingConfig:
         """The keyword arguments of the ``BatchScheduler`` constructor."""
         return dict(
             n_samples=self.n_samples, max_batch=self.max_batch,
-            chunk_passes=self.chunk_passes,
             feature_shape=self.feature_shape,
             flush_interval=self.flush_interval, registry=self.registry,
             default_model=self.default_model, metrics=self.metrics,

@@ -26,7 +26,7 @@ BayesianCim` still exposes its ledger etc.
 from __future__ import annotations
 
 import time
-from typing import Callable, Iterable, List, Optional, Union
+from typing import Callable, Iterable, List, Union
 
 import numpy as np
 
@@ -119,8 +119,7 @@ class FlakyEngine(_EngineWrapper):
         self.schedule = schedule
         self.failures = 0
 
-    def mc_forward_batched(self, x, n_samples: int = 10,
-                           chunk_passes: Optional[int] = None):
+    def mc_forward_batched(self, x, n_samples: int = 10):
         call = self.calls
         self.calls += 1
         if self.schedule.should_fail(call):
@@ -128,8 +127,7 @@ class FlakyEngine(_EngineWrapper):
             raise InjectedFault(
                 f"injected fault on engine call {call} "
                 f"(schedule rate={self.schedule.rate})")
-        return self.engine.mc_forward_batched(
-            x, n_samples=n_samples, chunk_passes=chunk_passes)
+        return self.engine.mc_forward_batched(x, n_samples=n_samples)
 
 
 class SlowEngine(_EngineWrapper):
@@ -146,16 +144,14 @@ class SlowEngine(_EngineWrapper):
         self.delay_s = delay_s
         self._sleep = sleep
 
-    def mc_forward_batched(self, x, n_samples: int = 10,
-                           chunk_passes: Optional[int] = None):
+    def mc_forward_batched(self, x, n_samples: int = 10):
         call = self.calls
         self.calls += 1
         delay = (self.delay_s(call) if callable(self.delay_s)
                  else self.delay_s)
         if delay > 0:
             self._sleep(delay)
-        return self.engine.mc_forward_batched(
-            x, n_samples=n_samples, chunk_passes=chunk_passes)
+        return self.engine.mc_forward_batched(x, n_samples=n_samples)
 
 
 class PoisonEngine:
@@ -169,8 +165,7 @@ class PoisonEngine:
         self.message = message
         self.calls = 0
 
-    def mc_forward_batched(self, x, n_samples: int = 10,
-                           chunk_passes: Optional[int] = None):
+    def mc_forward_batched(self, x, n_samples: int = 10):
         self.calls += 1
         raise InjectedFault(self.message)
 

@@ -17,7 +17,7 @@ module moves each replica into its own worker *process*:
   owns one ``multiprocessing.shared_memory`` block per direction:
   request rows are written zero-copy into the request block, result
   sample tensors come back in the result block, and only a small
-  header (command, shape, dtype, model id, T, chunk size) crosses the
+  header (command, shape, dtype, model id, T) crosses the
   duplex ``Pipe``.  One block per direction is enough because a
   worker never has two requests in flight: its lock is held from the
   write until the result is copied out.  Payloads larger than a block
@@ -147,8 +147,7 @@ def _worker_main(conn, sources: Dict[Optional[str], _Source],
                            None if ledger is None else dict(ledger.counts)))
                 continue
             if cmd == "mc":
-                (_, shape, dtype, n_samples, chunk_passes,
-                 model_id, via_shm, payload) = msg
+                _, shape, dtype, n_samples, model_id, via_shm, payload = msg
                 try:
                     if via_shm:
                         x = np.frombuffer(
@@ -157,7 +156,7 @@ def _worker_main(conn, sources: Dict[Optional[str], _Source],
                     else:
                         x = payload
                     result = engines[model_id].mc_forward_batched(
-                        x, n_samples=n_samples, chunk_passes=chunk_passes)
+                        x, n_samples=n_samples)
                     samples = np.ascontiguousarray(result.samples)
                     del x
                     if samples.nbytes <= slot_bytes:
@@ -212,7 +211,7 @@ class ProcReplica:
     """Proxy engine bound to one worker process (and one model id).
 
     Implements the replica interface the schedulers already speak —
-    ``mc_forward_batched(x, n_samples=..., chunk_passes=...)`` — by
+    ``mc_forward_batched(x, n_samples=...)`` — by
     shipping the rows through the worker's shared-memory request block
     and rebuilding a :class:`~repro.bayesian.base.PredictiveResult`
     from the sample tensor in its result block.  Calls on one
@@ -227,8 +226,7 @@ class ProcReplica:
         self.model_id = model_id
 
     # -- replica interface ---------------------------------------------
-    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20,
-                           chunk_passes: Optional[int] = None
+    def mc_forward_batched(self, x: np.ndarray, n_samples: int = 20
                            ) -> PredictiveResult:
         worker = self._worker
         x = np.ascontiguousarray(x)
@@ -246,13 +244,11 @@ class ProcReplica:
                     del dst
                     self._pool.stats["shm_requests"] += 1
                     worker.conn.send(("mc", x.shape, x.dtype.str,
-                                      n_samples, chunk_passes,
-                                      self.model_id, True, None))
+                                      n_samples, self.model_id, True, None))
                 else:
                     self._pool.stats["pipe_fallbacks"] += 1
                     worker.conn.send(("mc", x.shape, x.dtype.str,
-                                      n_samples, chunk_passes,
-                                      self.model_id, False, x))
+                                      n_samples, self.model_id, False, x))
                 reply = worker.conn.recv()
             except (EOFError, BrokenPipeError, ConnectionResetError,
                     OSError):

@@ -212,7 +212,7 @@ class BatchScheduler:
         One engine, or a list of engine replicas (copies of one
         programmed fabric); a single engine is a one-replica fleet.
         An engine is any object exposing ``mc_forward_batched(x,
-        n_samples=..., chunk_passes=...) -> PredictiveResult`` —
+        n_samples=...) -> PredictiveResult`` —
         normally a :class:`~repro.bayesian.BayesianCim`,
         :class:`~repro.bayesian.SpinBayesNetwork`, a
         :class:`~repro.serving.procpool.ProcReplica`, or (for
@@ -232,8 +232,6 @@ class BatchScheduler:
         larger than ``max_batch`` are accepted and flushed immediately
         rather than split (a request's rows always share one flush, so
         its samples stay mutually consistent).
-    chunk_passes:
-        Forwarded to the engine to bound peak memory.
     feature_shape:
         Per-sample input shape, e.g. ``(256,)`` or ``(1, 16, 16)``.
         When omitted it is inferred from the first request, which must
@@ -288,7 +286,6 @@ class BatchScheduler:
 
     def __init__(self, engines=None, n_samples: int = 20,
                  max_batch: int = 64,
-                 chunk_passes: Optional[int] = None,
                  feature_shape: Optional[tuple] = None,
                  flush_interval: Optional[float] = None,
                  registry=None, default_model: Optional[str] = None,
@@ -321,7 +318,6 @@ class BatchScheduler:
         self.default_model = default_model
         self.n_samples = n_samples
         self.max_batch = max_batch
-        self.chunk_passes = chunk_passes
         self.flush_interval = flush_interval
         self.controlplane = controlplane
         if controlplane is not None:
@@ -918,7 +914,7 @@ class BatchScheduler:
             try:
                 result = engine.mc_forward_batched(
                     np.concatenate([r.x for r in shard], axis=0),
-                    n_samples=n_samples, chunk_passes=self.chunk_passes)
+                    n_samples=n_samples)
                 outcomes = self._slice_group(shard, result)
             except Exception as exc:  # noqa: BLE001 — delivered per ticket
                 if controlplane is not None:

@@ -11,11 +11,11 @@ patching that policy, and proves the route ran by spying on
 
 The batched MC engine runs a channel-wise dropout gate and the conv
 it feeds as one gated conv on exact grids
-(:meth:`CrossbarGrid.mvm_gated`, spied by ``gated_calls``);
-``force_stacked(engine)`` sends that pair down the stacked path
-instead.  Both batched engines (``BayesianCim`` and
-``SpinBayesNetwork``) also run each ``FrozenNorm → DigitalSign (→
-DigitalMaxPool)`` run as one threshold compare
+(:meth:`CrossbarGrid.mvm_gated`, spied by ``gated_calls``, which sees
+one call per grid per engine call); ``force_stacked(engine)`` sends
+that pair down the stacked path instead.  Both batched engines
+(``BayesianCim`` and ``SpinBayesNetwork``) also run each ``FrozenNorm
+→ DigitalSign (→ DigitalMaxPool)`` run as one threshold compare
 (:meth:`SignFold.forward`, spied by ``sign_fold_calls``);
 ``force_stages(engine)`` runs the three arithmetic stages instead.
 """

@@ -6,7 +6,7 @@ means, same per-pass samples, same :class:`OpLedger` totals (crossbar
 accesses, ADC conversions, RNG cycles, SRAM reads) — for every
 stochastic mechanism the paper deploys (neuron, channel, scale,
 affine, VI), with and without device variability on the dropout
-modules, chunked or not.
+modules.
 """
 
 import numpy as np
@@ -98,16 +98,6 @@ class TestBitExactEquivalence:
         assert bool(gated_calls) == (kind == "channel")
         np.testing.assert_array_equal(seq.samples, bat.samples)
         np.testing.assert_array_equal(seq.probs, bat.probs)
-        assert a.ledger.as_dict() == b.ledger.as_dict()
-
-    @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_chunked_matches_unchunked(self, kind):
-        model, x = _model(kind)
-        a = _deploy(model)
-        b = _deploy(model)
-        full = a.mc_forward_batched(x, n_samples=5)
-        chunked = b.mc_forward_batched(x, n_samples=5, chunk_passes=2)
-        np.testing.assert_array_equal(full.samples, chunked.samples)
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     @pytest.mark.parametrize("kind", ["neuron", "scale"])
@@ -392,15 +382,14 @@ def _defects():
                        rng=np.random.default_rng(5))
 
 
-def _batched_vs_sequential(make, x, n_samples, chunk_passes=None,
-                           equal_nan=False):
+def _batched_vs_sequential(make, x, n_samples, equal_nan=False):
     """Serve ``x`` on two fresh engines, one batched and one through
     the sequential oracle; return the batched engine."""
     a, b = make(), make()
     a.ledger.reset()
     b.ledger.reset()
     seq = a.mc_forward(x, n_samples=n_samples, batched=False)
-    bat = b.mc_forward(x, n_samples=n_samples, chunk_passes=chunk_passes)
+    bat = b.mc_forward(x, n_samples=n_samples)
     assert np.array_equal(seq.samples, bat.samples, equal_nan=equal_nan)
     assert a.ledger.as_dict() == b.ledger.as_dict()
     return b
@@ -430,19 +419,15 @@ class TestGatedConv:
             assert engine._gated_pair[1].plan.row_chunks == (
                 (0, 32), (32, 64), (64, 72))
 
-    def test_chunked_passes_share_one_set_of_partials(self, gated_calls,
-                                                      monkeypatch):
-        partial_calls = []
-        real = CrossbarGrid.channel_partials
-
-        def spy(grid, *args, **kwargs):
-            partial_calls.append(grid)
-            return real(grid, *args, **kwargs)
-
-        monkeypatch.setattr(CrossbarGrid, "channel_partials", spy)
-        _batched_vs_sequential(_cnn, X_CNN, 20, chunk_passes=6)
-        assert len(gated_calls) == 4             # chunks of 6, 6, 6, 2
-        assert len(partial_calls) == 1
+    def test_gated_conv_checks_its_input(self, force_analog):
+        conv = _cnn()._gated_pair[1]
+        keep = np.ones((2, conv.c_in))
+        with pytest.raises(ValueError, match=r"\(N, C, H, W\)"):
+            conv.forward(X_CNN[0], keep=keep)
+        with pytest.raises(ValueError, match="keep bank"):
+            conv.forward(X_CNN, keep=keep[:, 1:])
+        with pytest.raises(ValueError, match="exact"):
+            force_analog(conv).forward(X_CNN, keep=keep)
 
     @pytest.mark.parametrize("n_images,n_samples", [(1, 1), (1, 5), (3, 1)])
     def test_single_image_and_single_pass(self, n_images, n_samples,
@@ -534,9 +519,9 @@ class TestGridGatedMvm:
                             CimConfig(seed=0, adc_bits=6), ledger)
 
     def test_matches_per_pass_mvm(self):
+        # A (K, B) drive, and an (N, K, B) stack of them as the gated
+        # conv hands over (one drive per image).
         rng = np.random.default_rng(4)
-        drive = np.sign(rng.standard_normal((72, 40))).astype(np.float32)
-        drive[rng.random(drive.shape) < 0.2] = 0.0
         keep = np.array([
             [1, 1, 1, 1, 1, 1, 1, 1],
             [0, 0, 0, 0, 0, 0, 0, 0],
@@ -544,23 +529,31 @@ class TestGridGatedMvm:
             [0, 0, 0, 1, 0, 0, 0, 1],            # only the cut channels
             [0, 1, 0, 0, 1, 1, 0, 1],
         ], dtype=np.float32)
-        gated_ledger, ref_ledger = OpLedger(), OpLedger()
-        grid, ref = self._grid(gated_ledger), self._grid(ref_ledger)
-        out = np.zeros((len(keep), 12, 40))
-        grid.mvm_gated(grid.channel_partials(drive, self.WIDTH), keep, out)
-        for row, got in zip(keep, out):
-            rows = np.repeat(row, self.WIDTH)[:, None] > 0
-            expected = np.zeros((12, 40))
-            ref.mvm(np.where(rows, drive, np.float32(0.0)), expected)
-            np.testing.assert_array_equal(got, expected)
-        assert gated_ledger.as_dict() == ref_ledger.as_dict()
-        np.testing.assert_array_equal(out[1], 0.0)
+        for lead in ((), (3,)):
+            drive = np.sign(rng.standard_normal(lead + (72, 40))).astype(
+                np.float32)
+            drive[rng.random(drive.shape) < 0.2] = 0.0
+            gated_ledger, ref_ledger = OpLedger(), OpLedger()
+            grid, ref = self._grid(gated_ledger), self._grid(ref_ledger)
+            out = np.zeros((len(keep),) + lead + (12, 40))
+            grid.mvm_gated(drive, self.WIDTH, keep, out)
+            for row, got in zip(keep, out):
+                rows = np.repeat(row, self.WIDTH)[:, None] > 0
+                for image, got_image in zip(drive.reshape(-1, 72, 40),
+                                            got.reshape(-1, 12, 40)):
+                    expected = np.zeros((12, 40))
+                    ref.mvm(np.where(rows, image, np.float32(0.0)),
+                            expected)
+                    np.testing.assert_array_equal(got_image, expected)
+            assert gated_ledger.as_dict() == ref_ledger.as_dict()
+            np.testing.assert_array_equal(out[1], 0.0)
 
     def test_analog_grid_refuses(self):
         grid = self._grid(OpLedger())
         grid.exact = False
         with pytest.raises(ValueError, match="exact"):
-            grid.channel_partials(np.zeros((72, 4), np.float32), self.WIDTH)
+            grid.mvm_gated(np.zeros((72, 4), np.float32), self.WIDTH,
+                           np.ones((2, 8), np.float32), np.zeros((2, 12, 4)))
 
 
 # ----------------------------------------------------------------------
@@ -652,10 +645,6 @@ class TestSignFold:
             assert np.isnan(lo[[1, 4]]).all()
             assert np.isnan(np.delete(hi, [1, 4])).all()
             assert not np.isnan(np.delete(lo, [1, 4])).any()
-
-    def test_chunked_passes(self, sign_fold_calls):
-        _batched_vs_sequential(_cnn, X_CNN, 20, chunk_passes=6)
-        assert len(sign_fold_calls) == 1 + 4      # prefix, 4 chunks
 
     def test_read_noise_folds_every_pass(self, sign_fold_calls):
         # Read noise drops the prefix (split 0) and runs one pass per

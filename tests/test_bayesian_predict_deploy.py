@@ -109,6 +109,24 @@ class TestMcPredict:
         assert r.samples.shape == (4, 5, 3)
 
 
+@pytest.fixture
+def stacked_calls(monkeypatch):
+    """What every ``_mc_predict_stacked`` call returned, in order (None
+    where the model has a layer without bank support)."""
+    from repro.bayesian import base
+
+    calls = []
+    real = base._mc_predict_stacked
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        calls.append(result)
+        return result
+
+    monkeypatch.setattr(base, "_mc_predict_stacked", spy)
+    return calls
+
+
 class TestStackedMcPredict:
     """The software-side batched MC path (mc_predict batched=True)."""
 
@@ -120,40 +138,37 @@ class TestStackedMcPredict:
     }
 
     @pytest.mark.parametrize("kind", sorted(KINDS))
-    def test_stacked_is_bit_exact_vs_sequential(self, kind):
+    def test_stacked_is_bit_exact_vs_sequential(self, kind, stacked_calls):
         x = np.random.default_rng(8).standard_normal((9, 20))
         seq = mc_predict(self.KINDS[kind](), x, n_samples=5, batched=False)
-        stacked = mc_predict(self.KINDS[kind](), x, n_samples=5,
-                             chunk_passes=5)
+        assert not stacked_calls
+        stacked = mc_predict(self.KINDS[kind](), x, n_samples=5)
+        assert stacked_calls == [stacked]
         np.testing.assert_array_equal(seq.samples, stacked.samples)
 
-    def test_stacked_cnn_is_bit_exact(self):
+    def test_stacked_cnn_is_bit_exact(self, stacked_calls):
         x = np.random.default_rng(9).standard_normal((4, 1, 12, 12))
         make = lambda: make_spatial_spindrop_cnn(1, 12, 4, widths=(4, 8),
                                                  seed=2)
         seq = mc_predict(make(), x, n_samples=4, batched=False)
-        stacked = mc_predict(make(), x, n_samples=4, chunk_passes=4)
+        stacked = mc_predict(make(), x, n_samples=4)
+        assert stacked_calls == [stacked]
         np.testing.assert_array_equal(seq.samples, stacked.samples)
 
-    def test_chunked_matches_unchunked(self):
-        x = np.random.default_rng(8).standard_normal((9, 20))
-        full = mc_predict(self.KINDS["scaledrop"](), x, n_samples=6,
-                          chunk_passes=6)
-        chunked = mc_predict(self.KINDS["scaledrop"](), x, n_samples=6,
-                             chunk_passes=2)
-        np.testing.assert_array_equal(full.samples, chunked.samples)
-
-    def test_unsupported_layer_falls_back_to_sequential(self):
+    def test_unsupported_layer_falls_back_to_sequential(self,
+                                                        stacked_calls):
         from repro.bayesian import make_dropconnect_mlp
 
         x = np.random.default_rng(8).standard_normal((6, 20))
         seq = mc_predict(make_dropconnect_mlp(20, (16,), 4, seed=7), x,
                          n_samples=3, batched=False)
         auto = mc_predict(make_dropconnect_mlp(20, (16,), 4, seed=7), x,
-                          n_samples=3, batched=True, chunk_passes=3)
+                          n_samples=3, batched=True)
+        assert len(stacked_calls) == 1
         np.testing.assert_array_equal(seq.samples, auto.samples)
 
-    def test_fallback_consumes_no_randomness_from_supported_layers(self):
+    def test_fallback_consumes_no_randomness_from_supported_layers(
+            self, stacked_calls):
         """Regression: with a bank-capable layer BEFORE the unsupported
         one, the stacked path must bail out without drawing anything,
         or the sequential fallback would see a shifted RNG stream."""
@@ -173,16 +188,17 @@ class TestStackedMcPredict:
 
         x = np.random.default_rng(8).standard_normal((6, 20))
         seq = mc_predict(build(), x, n_samples=4, batched=False)
-        auto = mc_predict(build(), x, n_samples=4, batched=True,
-                          chunk_passes=4)
+        auto = mc_predict(build(), x, n_samples=4, batched=True)
+        assert len(stacked_calls) == 1
         np.testing.assert_array_equal(seq.samples, auto.samples)
 
-    def test_banks_cleared_after_stacked_run(self):
+    def test_banks_cleared_after_stacked_run(self, stacked_calls):
         from repro.bayesian.base import StochasticModule
 
         model = self.KINDS["spindrop"]()
         x = np.random.default_rng(8).standard_normal((9, 20))
-        mc_predict(model, x, n_samples=3, chunk_passes=3)
+        mc_predict(model, x, n_samples=3)
+        assert len(stacked_calls) == 1
         for module in model.modules():
             if isinstance(module, StochasticModule):
                 assert module._mc_bank is None

@@ -1,7 +1,7 @@
 """Pass-stacked segmentation engine ≡ sequential loop, bit-for-bit.
 
-The acceptance contract of PR 3: `mc_segment_batched` must reproduce
-the sequential per-pass loop exactly (probs and per-pass samples) for
+The acceptance contract of the stacked engine: `mc_segment` must
+reproduce the sequential per-pass loop exactly (probs and per-pass samples) for
 every T/width/p; the im2col plan cache must serve warm engines with
 zero index-plan rebuilds and never serve stale plans after a shape
 change; the inference fast paths (conv, pooling, upsampling, sign,
@@ -21,7 +21,6 @@ from repro.bayesian import (
     make_dropconnect_mlp,
     mc_predict,
     mc_segment,
-    mc_segment_batched,
     pixel_maps,
 )
 from repro.bayesian.spatial import SpatialSpinDropout
@@ -48,7 +47,7 @@ class TestBitExactEquivalence:
         a, b = _pair(width=width, p=p)
         x = RNG.standard_normal((2, 1, 16, 16))
         seq = mc_segment(a, x, n_samples=n_samples, batched=False)
-        bat = mc_segment_batched(b, x, n_samples=n_samples)
+        bat = mc_segment(b, x, n_samples=n_samples)
         np.testing.assert_array_equal(seq.samples, bat.samples)
         np.testing.assert_array_equal(seq.probs, bat.probs)
         assert seq.served_samples == bat.served_samples == n_samples
@@ -58,20 +57,13 @@ class TestBitExactEquivalence:
         a, b = _pair()
         x = RNG.standard_normal((batch, 1, 16, 16))
         seq = mc_segment(a, x, n_samples=5, batched=False)
-        bat = mc_segment_batched(b, x, n_samples=5)
+        bat = mc_segment(b, x, n_samples=5)
         np.testing.assert_array_equal(seq.samples, bat.samples)
-
-    def test_chunked_matches_unchunked(self):
-        a, b = _pair()
-        x = RNG.standard_normal((2, 1, 16, 16))
-        full = mc_segment_batched(a, x, n_samples=6)
-        chunked = mc_segment_batched(b, x, n_samples=6, chunk_passes=2)
-        np.testing.assert_array_equal(full.samples, chunked.samples)
 
     def test_passes_vary(self):
         model = make_bayesian_segmenter(width=4, p=0.5, seed=0)
         x = RNG.standard_normal((2, 1, 16, 16))
-        result = mc_segment_batched(model, x, n_samples=6)
+        result = mc_segment(model, x, n_samples=6)
         assert result.samples.std(axis=0).max() > 0
 
     def test_vectorized_mask_draw_matches_sequential_stream(self):
@@ -137,9 +129,9 @@ class TestPlanCache:
     def test_warm_engine_performs_zero_rebuilds(self):
         model = make_bayesian_segmenter(width=4, seed=0)
         x = RNG.standard_normal((2, 1, 16, 16))
-        mc_segment_batched(model, x, n_samples=3)     # warm
+        mc_segment(model, x, n_samples=3)     # warm
         before = conv_plan_cache_stats()["builds"]
-        mc_segment_batched(model, x, n_samples=3)
+        mc_segment(model, x, n_samples=3)
         stats = conv_plan_cache_stats()
         assert stats["builds"] == before
         assert stats["hits"] > 0
@@ -382,14 +374,6 @@ class TestDropConnectStacked:
         bat = mc_predict(b, x, n_samples=5, batched=True)
         np.testing.assert_array_equal(seq.samples, bat.samples)
 
-    def test_chunked(self):
-        x = RNG.standard_normal((3, 12))
-        a = make_dropconnect_mlp(12, (8,), 3, seed=2)
-        b = make_dropconnect_mlp(12, (8,), 3, seed=2)
-        full = mc_predict(a, x, n_samples=6, chunk_passes=None)
-        chunked = mc_predict(b, x, n_samples=6, chunk_passes=2)
-        np.testing.assert_array_equal(full.samples, chunked.samples)
-
     def test_banks_cleared_after_run(self):
         from repro.bayesian.dropconnect import DropConnectLinear
         model = make_dropconnect_mlp(12, (8,), 3, seed=2)
@@ -456,35 +440,48 @@ class TestGroupedDropoutConvFusion:
         from repro.bayesian import segmentation as seg
 
         calls = []
-        orig = seg._channel_gated_conv_apply
+        orig = seg._channel_gated_conv
 
-        def counting(plan, bank_slice):
-            calls.append(bank_slice.shape)
-            return orig(plan, bank_slice)
+        def counting(suffix, modules, banks, base):
+            out = orig(suffix, modules, banks, base)
+            calls.append(out is not None)
+            return out
 
-        monkeypatch.setattr(seg, "_channel_gated_conv_apply", counting)
+        monkeypatch.setattr(seg, "_channel_gated_conv", counting)
         a, _ = self._grouped_pair(groups=4)
         mc_segment(a, np.random.default_rng(1).standard_normal(
             (2, 1, 16, 16)), n_samples=4, batched=True)
-        assert calls
+        assert calls == [True]
 
-    def test_grouped_plan_holds_per_group_partials(self):
-        from repro.bayesian.segmentation import _channel_gated_conv_plan
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_fused_conv_matches_masked_stack(self, groups):
+        # Each group's partials contracted with its own mask slice give
+        # the dropout layer's masked pass-stack through the conv, bit
+        # for bit.
+        from repro.bayesian.segmentation import _channel_gated_conv
 
-        a, _ = self._grouped_pair(groups=4, width=8)
-        modules = list(a.modules())
-        drop_idx = next(i for i, m in enumerate(modules)
-                        if isinstance(m, SpatialSpinDropout))
-        base = np.sign(np.random.default_rng(2).standard_normal(
-            (2, 8, 8, 8))).astype(np.float64)
-        plan = _channel_gated_conv_plan(modules[drop_idx:], modules, base)
-        assert plan is not None
-        _, conv, partials, _ = plan
-        assert conv.groups == 4
-        assert len(partials) == 4
-        for slab in partials:
-            assert slab.shape[1] == 8 // 4      # C/G input maps
-            assert slab.shape[2] == 16 // 4     # O/G output maps
+        a, _ = self._grouped_pair(groups=groups, width=8)
+        layers = list(a)
+        idx = next(i for i, layer in enumerate(layers)
+                   if isinstance(layer, SpatialSpinDropout))
+        drop, conv = layers[idx], layers[idx + 1]
+        rng = np.random.default_rng(2)
+        base = np.sign(rng.standard_normal((2, 8, 8, 8)))
+        base[0, 3, 2, 2] = 0.0
+        bank = (rng.random((5, 2, 8)) < 0.7).astype(np.float64)
+        fused = _channel_gated_conv(layers[idx:], [drop], [bank], base)
+        drop.enable_mc(True)
+        drop.mc_install_bank(bank, 2)
+        try:
+            with no_grad():
+                stacked = np.broadcast_to(base[None], (5,) + base.shape)
+                expected = conv(drop(Tensor(
+                    stacked.reshape((10,) + base.shape[1:])))).data
+        finally:
+            drop.mc_clear_bank()
+            drop.enable_mc(False)
+        assert fused.shape == (10, 16, 8, 8)
+        np.testing.assert_array_equal(fused, expected)
 
 
 class TestSegmenterEngineApi:

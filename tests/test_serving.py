@@ -367,11 +367,10 @@ class TestGroupFailureIsolation:
             self._engine = engine
             self._poisoned_t = poisoned_t
 
-        def mc_forward_batched(self, x, n_samples=10, chunk_passes=None):
+        def mc_forward_batched(self, x, n_samples=10):
             if n_samples == self._poisoned_t:
                 raise RuntimeError("boom: poisoned T-group")
-            return self._engine.mc_forward_batched(
-                x, n_samples=n_samples, chunk_passes=chunk_passes)
+            return self._engine.mc_forward_batched(x, n_samples=n_samples)
 
     def test_poisoned_t_group_leaves_siblings_resolved(self):
         scheduler = BatchScheduler(
@@ -507,11 +506,10 @@ class _GatedEngine:
         self.entered = threading.Event()
         self.release = threading.Event()
 
-    def mc_forward_batched(self, x, n_samples=10, chunk_passes=None):
+    def mc_forward_batched(self, x, n_samples=10):
         self.entered.set()
         assert self.release.wait(timeout=5.0)
-        return self.engine.mc_forward_batched(
-            x, n_samples=n_samples, chunk_passes=chunk_passes)
+        return self.engine.mc_forward_batched(x, n_samples=n_samples)
 
 
 class TestFlushOutsideTheLock:

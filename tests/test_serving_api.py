@@ -348,10 +348,9 @@ class _GateEngine:
         self.inner = _factory()
         self.release = threading.Event()
 
-    def mc_forward_batched(self, x, n_samples=20, chunk_passes=None):
+    def mc_forward_batched(self, x, n_samples=20):
         assert self.release.wait(timeout=10)
-        return self.inner.mc_forward_batched(
-            x, n_samples=n_samples, chunk_passes=chunk_passes)
+        return self.inner.mc_forward_batched(x, n_samples=n_samples)
 
 
 class TestAdmissionReconciliation:

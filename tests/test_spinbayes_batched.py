@@ -6,8 +6,8 @@ path must reproduce the sequential T-pass loop exactly — same
 predictive means, same per-pass samples, same :class:`OpLedger`
 totals (crossbar accesses, ADC conversions, arbiter RNG cycles) —
 including the arbiter's component selections, with and without
-cycle-to-cycle read noise, chunked or not, for power-of-two component
-counts (vectorized selection draw) and odd ones (per-select replay).
+cycle-to-cycle read noise, for power-of-two component counts
+(vectorized selection draw) and odd ones (per-select replay).
 The batched engine runs each norm→sign readout as one sign fold; the
 equivalence suite also runs on the arithmetic stages.
 
@@ -89,14 +89,6 @@ class TestBitExactEquivalence:
         seq = mc_predict_fn(a.forward, X, n_samples=5)
         bat = b.mc_forward_batched(X, n_samples=5)
         np.testing.assert_array_equal(seq.samples, bat.samples)
-        assert a.ledger.as_dict() == b.ledger.as_dict()
-
-    def test_chunked_matches_unchunked(self):
-        a = self._network()
-        b = self._network()
-        full = a.mc_forward_batched(X, n_samples=5)
-        chunked = b.mc_forward_batched(X, n_samples=5, chunk_passes=2)
-        np.testing.assert_array_equal(full.samples, chunked.samples)
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     @pytest.mark.parametrize("n_components", [8, 5])
@@ -231,18 +223,67 @@ class TestStageModel:
         snapshot = DeploymentSnapshot.load(path)
         a, b = snapshot.build(), snapshot.build()
         seq = a.mc_forward(X_WIDE, n_samples=8, batched=False)
-        bat = b.mc_forward(X_WIDE, n_samples=8, chunk_passes=3)
+        bat = b.mc_forward(X_WIDE, n_samples=8)
         np.testing.assert_array_equal(seq.samples, bat.samples)
         assert a.ledger.as_dict() == b.ledger.as_dict()
 
     def test_pass_invariant_network_runs_once_per_call(self,
                                                        sign_fold_calls):
         # With one component no arbiter draws: every stage is prefix,
-        # run once for all T passes, however the passes are chunked.
+        # run once for all T passes.
         net = _network(n_components=1)
         assert net._split == len(net.network.stages)
-        net.forward_batched(X, n_samples=5, chunk_passes=2)
+        net.forward_batched(X, n_samples=5)
         assert len(sign_fold_calls) == 2
+
+    def test_live_in_memory_and_on_disk_engines_agree(self, tmp_path):
+        # Crossbars programmed from a transposed matrix keep C-ordered
+        # conductances, as a restore installs them, so all three
+        # engines multiply by operands of one layout and read the same
+        # samples.
+        live = _perfbench_network()
+        snapshot = DeploymentSnapshot.capture(live)
+        path = str(tmp_path / "spinbayes")
+        snapshot.save(path)
+        engines = [live, snapshot.build(),
+                   DeploymentSnapshot.load(path).build()]
+        results = [engine.mc_forward_batched(X_WIDE, n_samples=8).samples
+                   for engine in engines]
+        for engine, samples in zip(engines[1:], results[1:]):
+            np.testing.assert_array_equal(samples, results[0])
+            assert engine.ledger.as_dict() == live.ledger.as_dict()
+
+    @pytest.mark.procpool
+    def test_served_sync_matches_procs(self):
+        # ``sync`` serves the live engine; ``procs`` a worker restored
+        # from the artifact ``serve`` saves.  Each engine is built from
+        # a fresh teacher: posterior draws advance the teacher's
+        # generator.
+        from repro.serving import ServingConfig, serve
+
+        config = ServingConfig(n_samples=8, replicas=1)
+        with serve(_perfbench_network(), backend="sync",
+                   config=config) as frontend:
+            reference = frontend.predict(X_WIDE).samples
+        with serve(_perfbench_network(), backend="procs",
+                   config=config) as frontend:
+            np.testing.assert_array_equal(
+                frontend.predict(X_WIDE).samples, reference)
+
+    def test_banked_read_noise_draws_once_per_pass(self):
+        # Passes that select one component still read it through a
+        # fresh noise draw each, as per-pass ``forward`` calls do.
+        a = _network(read_noise=True)
+        b = _network(read_noise=True)
+        layer_a, layer_b = a.mvm_layers()[0], b.mvm_layers()[0]
+        x = X[:3]
+        selections = np.array([1, 1, 4, 1])
+        banked = layer_a.forward_banked(np.tile(x, (4, 1)), selections, 3)
+        per_pass = np.concatenate(
+            [layer_b.forward(x, component=int(k)) for k in selections])
+        np.testing.assert_array_equal(banked, per_pass)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert layer_a.last_selected == layer_b.last_selected == 1
 
     def test_selection_banks_are_cleared(self):
         net = _network()
