@@ -13,7 +13,9 @@ bit-for-bit identical (samples, and ledger totals for the deployed
 engines; the segmentation and cim_conv gates additionally check that
 a warm engine performs zero im2col index-plan rebuilds, and the warm
 batched call of every deployed engine must run at least one
-norm→sign readout as a sign fold, recorded as ``sign_folds_warm``), writes the
+norm→sign readout as a sign fold, recorded as ``sign_folds_warm``, and
+the SpinBayes one its first arbiter layer on the pass-invariant rows,
+recorded as ``shared_reads_warm``), writes the
 measurements to ``BENCH_mc_forward.json``, and exits non-zero if any
 batched path is not at least its per-engine minimum speedup faster
 (``--min-speedup``, default 3×; the spindrop MLP and the deployed
@@ -247,14 +249,16 @@ def _cim_conv_engine() -> BayesianCim:
 
 
 @contextlib.contextmanager
-def _counting_calls(owner, name):
+def _counting_calls(owner, name, when=None):
     """Count the calls of method ``name`` of class ``owner`` made
-    inside the block."""
+    inside the block (only those whose arguments ``when`` accepts, if
+    given)."""
     real = getattr(owner, name)
     calls = [0]
 
     def counted(target, *args, **kwargs):
-        calls[0] += 1
+        if when is None or when(target, *args, **kwargs):
+            calls[0] += 1
         return real(target, *args, **kwargs)
 
     setattr(owner, name, counted)
@@ -264,14 +268,22 @@ def _counting_calls(owner, name):
         setattr(owner, name, real)
 
 
+def _reads_shared_rows(layer, x, selections, rows_per_pass):
+    """Whether a ``SpinBayesMvm.forward_banked`` call multiplies the N
+    rows all of its passes share (once per selected component)."""
+    return len(selections) > 1 and x.shape[0] == rows_per_pass
+
+
 def _gate_engine(name, make_engine, x, n_samples, min_speedup,
-                 check_plan_rebuilds=False, check_conv_paths=False):
+                 check_plan_rebuilds=False, check_conv_paths=False,
+                 check_shared_read=False):
     """Equivalence check + timed gate for one engine; returns a record.
 
     The warm batched call must run at least one norm→sign(→pool) run
     as one threshold compare (a sign fold).  ``check_conv_paths`` also
     requires it to run the Spatial-SpinDrop gate→conv pair as one
-    gated conv."""
+    gated conv, and ``check_shared_read`` its first SpinBayes arbiter
+    layer on the N pass-invariant rows."""
     check_seq = make_engine()
     check_bat = make_engine()
     check_seq.ledger.reset()
@@ -295,16 +307,24 @@ def _gate_engine(name, make_engine, x, n_samples, min_speedup,
         "min_speedup": min_speedup,
         "bit_exact": True,
     }
-    from repro.cim.layers import CrossbarGrid, SignFold
+    from repro.cim.layers import CrossbarGrid, SignFold, SpinBayesMvm
 
     builds_before = conv_plan_cache_stats()["builds"]
     with _counting_calls(CrossbarGrid, "mvm_gated") as gated, \
-            _counting_calls(SignFold, "forward") as folds:
+            _counting_calls(SignFold, "forward") as folds, \
+            _counting_calls(SpinBayesMvm, "forward_banked",
+                            _reads_shared_rows) as shared:
         engine.mc_forward_batched(x, n_samples=n_samples)
     if folds[0] == 0:
         print(f"FAIL: warm {name} engine folded no norm→sign readout")
         return None
     record["sign_folds_warm"] = folds[0]
+    if check_shared_read:
+        if shared[0] == 0:
+            print(f"FAIL: warm {name} engine did not read its first "
+                  f"arbiter layer once per selected component")
+            return None
+        record["shared_reads_warm"] = shared[0]
     if check_plan_rebuilds:
         # Warm engines must serve every im2col/pooling geometry from
         # the memoized plan cache: zero index-plan rebuilds from here.
@@ -1075,7 +1095,8 @@ def main() -> int:
     if spindrop is None:
         return 1
     spinbayes = _gate_engine("spinbayes", _spinbayes_engine, x_spin,
-                             args.samples, args.min_speedup)
+                             args.samples, args.min_speedup,
+                             check_shared_read=True)
     if spinbayes is None:
         return 1
     segmentation = _gate_segmentation(args.min_speedup)

@@ -159,18 +159,21 @@ class SpinBayesNetwork:
     # Batched Monte-Carlo engine
     # ------------------------------------------------------------------
     def _plan_stacking(self) -> None:
-        """Fix the batched engine's structure; the stages do not change
-        after the build.
+        """Fix the batched engine's structure; the stages and their
+        arbiters do not change after the build.
 
         ``_split`` is the index of the first arbiter-driven stage.
         Stages before it — digital periphery and single-component MVM
         layers — see the same input on every MC pass and (absent read
         noise) compute the same output, so the batched engine evaluates
-        them once and broadcasts.  ``_steps`` is the stage list as the
-        engine runs it (:func:`~repro.cim.layers.plan_steps`): each
-        norm→sign readout runs as one
-        :class:`~repro.cim.layers.SignFold`, in the prefix and the
-        stacked part alike.
+        them once and the stage at ``_split`` reads their N output rows
+        for every pass.  ``_steps`` is the stage list as the engine
+        runs it (:func:`~repro.cim.layers.plan_steps`): each norm→sign
+        readout runs as one :class:`~repro.cim.layers.SignFold`, in the
+        prefix and the stacked part alike.  ``_upper_p`` holds each
+        arbiter's node table (:meth:`_node_upper_p`) when the selections
+        can be drawn as one block (:meth:`_fast_selection_draw`), and
+        is None otherwise.
         """
         stages = self.network.stages
         self._split = next(
@@ -178,23 +181,53 @@ class SpinBayesNetwork:
              if isinstance(stage, SpinBayesMvm) and stage.arbiter is not None),
             len(stages))
         self._steps = plan_steps(stages)
+        arbiters = [layer.arbiter for layer in self.mvm_layers()
+                    if layer.arbiter is not None]
+        self._upper_p = None
+        if arbiters and self._fast_selection_draw(arbiters):
+            self._upper_p = [self._node_upper_p(a) for a in arbiters]
 
     @staticmethod
     def _fast_selection_draw(arbiters: List[SpintronicArbiter]) -> bool:
-        """Whether the selection block can be drawn in one RNG call.
+        """Whether the selection block can be drawn in one RNG call;
+        decided once per engine, in :meth:`_plan_stacking`.
 
         Requires every arbiter to (a) have a power-of-two choice count,
         so the binary search consumes a fixed two doubles per stage
-        (one burned ``generate``, one ``take_upper`` comparison) and
-        never resolves its interval early, and (b) share one software
-        generator, so a single flat draw covers the pass-major
-        interleaved stream.
+        (one burned ``generate``, one ``take_upper`` comparison), never
+        resolves its interval early and walks a complete binary tree,
+        and (b) share one software generator, so a single flat draw
+        covers the pass-major interleaved stream.
         """
         rng = arbiters[0]._stage_rng.rng
         return all(
             (a.n_choices & (a.n_choices - 1)) == 0
             and a._stage_rng.rng is rng
             for a in arbiters)
+
+    @staticmethod
+    def _node_upper_p(arbiter: SpintronicArbiter) -> np.ndarray:
+        """Take-upper probability of every node of a power-of-two
+        arbiter's binary search, heap-indexed: the root is node 1, node
+        ``k``'s children are ``2k`` and ``2k + 1``, slot 0 is unused.
+
+        Node ``2**d + i`` holds the candidates ``[i·w, (i + 1)·w)``,
+        ``w = n_choices >> d``; its entry is the upper half's share of
+        their mass, or 0.5 for a massless interval — the formula and
+        float64 arithmetic of :meth:`SpintronicArbiter.select`.
+        """
+        n, cdf = arbiter.n_choices, arbiter._cdf
+        upper = np.zeros(n)
+        for depth in range(arbiter.n_stages):
+            width = n >> depth
+            lo = np.arange(0, n, width)
+            mass_total = cdf[lo + width] - cdf[lo]
+            mass_upper = cdf[lo + width] - cdf[lo + width // 2]
+            massive = mass_total > 0
+            upper[1 << depth:2 << depth] = np.where(
+                massive, mass_upper / np.where(massive, mass_total, 1.0),
+                0.5)
+        return upper
 
     def _draw_selections(self, n_samples: int) -> np.ndarray:
         """Pre-draw all T per-layer component selections, (T, L).
@@ -207,12 +240,15 @@ class SpinBayesNetwork:
         batched run therefore reproduces the sequential selections
         bit-for-bit.
 
-        When every arbiter has a power-of-two choice count and they
-        share one generator (the :class:`CimConfig` default), the whole
-        block comes from a single flat ``random()`` call and the binary
-        searches are replayed vectorized over the pass axis — same
-        doubles, same arithmetic, same selections, ~L·T fewer numpy
-        round-trips.  Otherwise it falls back to per-select draws.
+        When the engine planned node tables (``_upper_p``: every
+        arbiter has a power-of-two choice count and they share one
+        generator, the :class:`CimConfig` default), the whole block
+        comes from a single flat ``random()`` call and each binary
+        search is replayed over the pass axis, one table lookup, one
+        compare and one add per stage — same doubles, same
+        probabilities, same selections.  Otherwise it falls back to
+        per-select draws (:meth:`SpintronicArbiter.select`, the
+        oracle).
         """
         layers = self.mvm_layers()
         selections = np.zeros((n_samples, len(layers)), dtype=np.int64)
@@ -220,8 +256,7 @@ class SpinBayesNetwork:
                   if layer.arbiter is not None]
         if not active:
             return selections
-        arbiters = [a for _, a in active]
-        if not self._fast_selection_draw(arbiters):
+        if self._upper_p is None:
             for t in range(n_samples):
                 for j, arbiter in active:
                     selections[t, j] = arbiter.select()
@@ -229,29 +264,18 @@ class SpinBayesNetwork:
                                     arbiter.cycles_per_selection)
             return selections
 
-        doubles_per_pass = 2 * sum(a.n_stages for a in arbiters)
-        block = arbiters[0]._stage_rng.rng.random(
+        doubles_per_pass = 2 * sum(a.n_stages for _, a in active)
+        block = active[0][1]._stage_rng.rng.random(
             n_samples * doubles_per_pass).reshape(n_samples, doubles_per_pass)
         offset = 0
-        for j, arbiter in active:
+        for (j, arbiter), upper in zip(active, self._upper_p):
             n_stages = arbiter.n_stages
-            cdf = arbiter._cdf
-            lo = np.zeros(n_samples, dtype=np.int64)
-            hi = np.full(n_samples, arbiter.n_choices, dtype=np.int64)
-            for stage in range(n_stages):
-                mid = (lo + hi) // 2
-                mass_total = cdf[hi] - cdf[lo]
-                mass_upper = cdf[hi] - cdf[mid]
-                p_upper = np.where(mass_total > 0,
-                                   mass_upper / np.where(mass_total > 0,
-                                                         mass_total, 1.0),
-                                   0.5)
-                # Odd slots are the take_upper comparisons; even slots
-                # are the burned stage-device bits.
-                take = block[:, offset + 2 * stage + 1] < p_upper
-                lo = np.where(take, mid, lo)
-                hi = np.where(take, hi, mid)
-            selections[:, j] = lo
+            node = np.ones(n_samples, dtype=np.int64)
+            # Odd slots are the take_upper comparisons; even slots are
+            # the burned stage-device bits.
+            for u in block[:, offset + 1:offset + 2 * n_stages:2].T:
+                node += node + (u < upper[node])
+            selections[:, j] = node - arbiter.n_choices
             offset += 2 * n_stages
             arbiter._stage_rng.book_cycles(n_samples * n_stages)
             arbiter.selections += n_samples
@@ -268,13 +292,15 @@ class SpinBayesNetwork:
         selections are pre-drawn in sequential RNG order and installed
         on the MVM stages, then the passes run as one flattened
         ``(T·N, …)`` tensor through the steps fixed by
-        :meth:`_plan_stacking`: each MVM stage reads every pass's
-        selected crossbar
-        (:meth:`~repro.cim.layers.SpinBayesMvm.forward_banked`), each
-        norm→sign readout runs as one
-        :class:`~repro.cim.layers.SignFold`, and the pass-invariant
-        prefix — the stages before the first arbiter — is evaluated
-        once and broadcast, its ledger delta booked T-fold.
+        :meth:`_plan_stacking`.  The pass-invariant prefix — the stages
+        before the first arbiter — is evaluated once, its ledger delta
+        booked T-fold, and the first arbiter stage takes its N output
+        rows and multiplies them once per selected component
+        (:meth:`~repro.cim.layers.SpinBayesMvm.forward_banked` on
+        shared rows), filling the stack; each later MVM stage reads
+        every pass's selected crossbar, and each norm→sign readout runs
+        as one :class:`~repro.cim.layers.SignFold`.  A network without
+        an arbiter broadcasts its prefix output to every pass.
 
         When cycle-to-cycle read noise is enabled the crossbars are no
         longer pass-deterministic, so the engine runs one pass per
@@ -301,6 +327,8 @@ class SpinBayesNetwork:
                     if idx < split:
                         h = step(h)
         rest = [step for idx, step in self._steps if idx >= split]
+        # The first arbiter stage reads the prefix rows itself.
+        first = rest.pop(0) if rest and split == self._split else None
 
         layers = self.mvm_layers()
         outs = []
@@ -308,9 +336,12 @@ class SpinBayesNetwork:
             for t0 in range(0, n_samples, passes):
                 for j, layer in enumerate(layers):
                     layer.selections = selections[t0:t0 + passes, j]
-                flat = np.broadcast_to(
-                    h[None], (passes,) + h.shape).reshape(
-                        (passes * batch,) + h.shape[1:])
+                if first is None:
+                    flat = np.broadcast_to(
+                        h[None], (passes,) + h.shape).reshape(
+                            (passes * batch,) + h.shape[1:])
+                else:
+                    flat = first.forward_banked(h, first.selections, batch)
                 for step in rest:
                     flat = step(flat)
                 outs.append(flat.reshape((passes, batch) + flat.shape[1:]))

@@ -544,7 +544,9 @@ class SpinBayesMvm(CimLayer):
     installs ``selections``, one component per pass of the flattened
     ``(T·N, …)`` batch, the way a :class:`DropoutGate` takes a mask
     bank; :meth:`forward` then reads every pass's crossbar in one call
-    (:meth:`forward_banked`).
+    (:meth:`forward_banked`).  The engine hands the first arbiter
+    layer the N rows every pass shares instead (:meth:`forward_banked`
+    on shared rows).
     """
 
     def __init__(self, components: List[np.ndarray],
@@ -709,61 +711,75 @@ class SpinBayesMvm(CimLayer):
 
     def forward_banked(self, x: np.ndarray, selections: np.ndarray,
                        rows_per_pass: int) -> np.ndarray:
-        """Stacked forward: ``x`` is (P·N, F) pass-major, one pre-drawn
-        component selection per pass.
+        """Stacked forward over P pre-drawn component selections, one
+        per pass; returns the (P·N, C) pass-major readouts.
+
+        ``x`` is either the (P·N, F) pass-major stack or the N rows
+        every pass reads (``rows_per_pass`` of them: the first arbiter
+        layer's pass-invariant input); any other row count raises.
 
         Without read noise the decoded MVM operand of every component
-        is deterministic and cached, so each pass is one plain
-        ``(N, F) @ (F, C)`` product against its selected component's
-        pre-decoded matrix — the *same shapes and operand values* the
-        sequential loop feeds BLAS, hence bit-for-bit equal output
-        (grouping passes into taller matmuls is faster still, but GEMM
-        summation order — and therefore the last ulp — depends on the
-        row count, and the downstream sign activation amplifies that
-        ulp into a different network output).  Cell accesses and DAC
-        drives are booked exactly as the hardware's P readouts cost.
-        With read noise each pass must re-draw the conductance
-        fluctuation, so the layer falls back to one
-        :meth:`AnalogCrossbar.matvec` call per pass, in pass order:
-        the noise stream is consumed draw-for-draw as P :meth:`forward`
-        calls consume it, and passes that select one component still
-        read it through fresh noise.  Ledger totals equal P sequential
-        :meth:`forward` calls either way because every booking is
-        proportional to the rows processed; the arbiter's RNG cycles
-        are booked at selection-draw time by the network.
+        is deterministic and cached, so each product is one plain
+        ``(N, F) @ (F, C)`` against a component's pre-decoded matrix —
+        the *same shapes and operand values* the sequential loop feeds
+        BLAS, hence bit-for-bit equal output (stacking passes into
+        taller matmuls is faster still, but GEMM summation order — and
+        therefore the last ulp — depends on the row count, and the
+        downstream sign activation amplifies that ulp into a different
+        network output).  Shared rows are binarized once and multiplied
+        once per distinct selected component, with the bias added once
+        per product; every pass then copies its component's block.
+        A stack takes one product per pass.  Cell accesses, DAC drives,
+        ADC conversions and bias ops are booked for all P·N rows
+        either way, as the hardware's P readouts cost them.  With read
+        noise each pass must re-draw the conductance fluctuation, so
+        the layer falls back to one :meth:`AnalogCrossbar.matvec` call
+        per pass, in pass order: the noise stream is consumed
+        draw-for-draw as P :meth:`forward` calls consume it, and passes
+        that select one component still read it through fresh noise.
+        The arbiter's RNG cycles are booked at selection-draw time by
+        the network.
         """
         selections = np.asarray(selections, dtype=np.int64)
         n_passes = selections.size
-        if n_passes * rows_per_pass != x.shape[0]:
+        shared = x.shape[0] == rows_per_pass
+        if not shared and x.shape[0] != n_passes * rows_per_pass:
             raise ValueError(
-                f"stacked batch {x.shape[0]} != "
-                f"{n_passes} passes x {rows_per_pass} rows")
+                f"stacked batch {x.shape[0]} is neither {rows_per_pass} "
+                f"shared rows nor {n_passes} passes x {rows_per_pass} rows")
         if self.binarize_input:
             x = np.sign(x)
-        if not has_read_noise(self.crossbars[0].variability):
+        rows = n_passes * rows_per_pass
+        blocks = None        # pass → product block, when passes share one
+        if has_read_noise(self.crossbars[0].variability):
+            out3 = np.empty((n_passes, rows_per_pass, self.out_features))
+            for t, component in enumerate(selections):
+                drive = x if shared else \
+                    x[t * rows_per_pass:(t + 1) * rows_per_pass]
+                out3[t] = self.crossbars[component].matvec(drive)
+        else:
             values = self._component_values()
             in_features = values.shape[1]
-            stacked = x.reshape(n_passes, rows_per_pass, in_features)
-            out3 = np.empty(
-                (n_passes, rows_per_pass, self.out_features),
-                dtype=np.float64)
-            for t in range(n_passes):
-                np.matmul(stacked[t], values[selections[t]], out=out3[t])
-            out = out3.reshape(x.shape[0], self.out_features)
+            if shared:
+                picked, blocks = np.unique(selections, return_inverse=True)
+                drives = [x] * picked.size
+            else:
+                picked = selections
+                drives = x.reshape(n_passes, rows_per_pass, in_features)
+            out3 = np.empty((picked.size, rows_per_pass, self.out_features))
+            for i, component in enumerate(picked):
+                np.matmul(drives[i], values[component], out=out3[i])
             self.ledger.add("crossbar_cell_access",
-                            in_features * self.out_features * x.shape[0])
-            self.ledger.add("dac_drive", in_features * x.shape[0])
-        else:
-            out = np.empty((x.shape[0], self.out_features), dtype=np.float64)
-            for t, component in enumerate(selections):
-                rows = slice(t * rows_per_pass, (t + 1) * rows_per_pass)
-                out[rows] = self.crossbars[component].matvec(x[rows])
+                            in_features * self.out_features * rows)
+            self.ledger.add("dac_drive", in_features * rows)
         self.last_selected = int(selections[-1])
-        self.ledger.add("adc_conversion", out.size)
+        self.ledger.add("adc_conversion", rows * self.out_features)
         if self.bias is not None:
-            out = out + self.bias
-            self.ledger.add("digital_op", out.size)
-        return out
+            out3 += self.bias
+            self.ledger.add("digital_op", rows * self.out_features)
+        if blocks is not None:
+            out3 = out3[blocks]
+        return out3.reshape(rows, self.out_features)
 
 
 _SIGN_BIT = np.uint64(1 << 63)

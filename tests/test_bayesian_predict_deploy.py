@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from repro import nn
 from repro.bayesian import (
     BayesianCim,
     DeepEnsemble,
     PredictiveResult,
+    SpinDropout,
     deterministic_predict,
     make_affine_mlp,
     make_scaledrop_mlp,
@@ -14,8 +16,10 @@ from repro.bayesian import (
     make_subset_vi_mlp,
     mc_predict,
     mc_predict_fn)
+from repro.bayesian.base import StochasticModule
 from repro.cim import CimConfig
 from repro.experiments.common import TrainConfig, digits_dataset, train_classifier
+from repro.tensor import Tensor
 
 RNG = np.random.default_rng(17)
 
@@ -82,7 +86,6 @@ class TestMcPredict:
 
     def test_mc_mode_restored(self, trained_spindrop, small_data):
         mc_predict(trained_spindrop, small_data.x_test[:4], n_samples=2)
-        from repro.bayesian.base import StochasticModule
         for module in trained_spindrop.modules():
             if isinstance(module, StochasticModule):
                 assert not module.mc_mode
@@ -107,6 +110,36 @@ class TestMcPredict:
 
         r = mc_predict_fn(forward, np.zeros((5, 2)), n_samples=4)
         assert r.samples.shape == (4, 5, 3)
+
+
+class _NoisyGain(StochasticModule):
+    """A stochastic layer without bank support: it has no
+    ``mc_draw_pass``, so ``mc_predict`` must run the sequential loop
+    for any model holding it."""
+
+    def __init__(self, n_features, rng):
+        super().__init__()
+        self.n_features = n_features
+        self.rng = rng
+
+    def forward(self, x):
+        if not self.stochastic_active:
+            return x
+        return x * Tensor(self.rng.uniform(0.5, 1.5, self.n_features))
+
+
+def _with_unbanked_layer():
+    """A bank-capable SpinDropout, then a layer without bank support;
+    one generator feeds both."""
+    rng = np.random.default_rng(11)
+    return nn.Sequential(
+        nn.BinaryLinear(20, 16, rng=rng, binarize_input=True),
+        nn.BatchNorm1d(16),
+        nn.SignActivation(),
+        SpinDropout(16, p=0.3, ideal=True, rng=rng),
+        _NoisyGain(16, rng),
+        nn.Linear(16, 4, rng=rng),
+    )
 
 
 @pytest.fixture
@@ -157,44 +190,43 @@ class TestStackedMcPredict:
 
     def test_unsupported_layer_falls_back_to_sequential(self,
                                                         stacked_calls):
-        from repro.bayesian import make_dropconnect_mlp
-
         x = np.random.default_rng(8).standard_normal((6, 20))
-        seq = mc_predict(make_dropconnect_mlp(20, (16,), 4, seed=7), x,
-                         n_samples=3, batched=False)
-        auto = mc_predict(make_dropconnect_mlp(20, (16,), 4, seed=7), x,
-                          n_samples=3, batched=True)
-        assert len(stacked_calls) == 1
+        seq = mc_predict(_with_unbanked_layer(), x, n_samples=3,
+                         batched=False)
+        auto = mc_predict(_with_unbanked_layer(), x, n_samples=3,
+                          batched=True)
+        assert stacked_calls == [None]
         np.testing.assert_array_equal(seq.samples, auto.samples)
 
     def test_fallback_consumes_no_randomness_from_supported_layers(
-            self, stacked_calls):
+            self, stacked_calls, monkeypatch):
         """Regression: with a bank-capable layer BEFORE the unsupported
         one, the stacked path must bail out without drawing anything,
         or the sequential fallback would see a shifted RNG stream."""
-        from repro import nn
-        from repro.bayesian import SpinDropout
-        from repro.bayesian.dropconnect import DropConnectLinear
+        from repro.bayesian import base
 
-        def build():
-            rng = np.random.default_rng(11)
-            return nn.Sequential(
-                nn.BinaryLinear(20, 16, rng=rng, binarize_input=True),
-                nn.BatchNorm1d(16),
-                nn.SignActivation(),
-                SpinDropout(16, p=0.3, ideal=True, rng=rng),
-                DropConnectLinear(16, 4, p=0.2, rng=rng),
-            )
+        model = _with_unbanked_layer()
+        dropout_rng = next(m for m in model
+                           if isinstance(m, SpinDropout)).rng
+        start = dropout_rng.bit_generator.state
+        at_fallback = []
+        stacked = base._mc_predict_stacked
 
+        def spy(*args, **kwargs):
+            result = stacked(*args, **kwargs)
+            at_fallback.append(dropout_rng.bit_generator.state)
+            return result
+
+        monkeypatch.setattr(base, "_mc_predict_stacked", spy)
         x = np.random.default_rng(8).standard_normal((6, 20))
-        seq = mc_predict(build(), x, n_samples=4, batched=False)
-        auto = mc_predict(build(), x, n_samples=4, batched=True)
-        assert len(stacked_calls) == 1
+        seq = mc_predict(_with_unbanked_layer(), x, n_samples=4,
+                         batched=False)
+        auto = mc_predict(model, x, n_samples=4, batched=True)
+        assert stacked_calls == [None]
+        assert at_fallback == [start]
         np.testing.assert_array_equal(seq.samples, auto.samples)
 
     def test_banks_cleared_after_stacked_run(self, stacked_calls):
-        from repro.bayesian.base import StochasticModule
-
         model = self.KINDS["spindrop"]()
         x = np.random.default_rng(8).standard_normal((9, 20))
         mc_predict(model, x, n_samples=3)

@@ -11,6 +11,12 @@ cycle-to-cycle read noise, for power-of-two component counts
 The batched engine runs each norm→sign readout as one sign fold; the
 equivalence suite also runs on the arithmetic stages.
 
+Every pass feeds the first arbiter layer the same rows, so the batched
+engine hands that layer the N pass-invariant rows and it multiplies
+them once per selected component (the *shared first read*); the
+power-of-two selection draw replays each binary search from node
+tables fixed at build.
+
 The arbiter layer is an ordinary CIM stage
 (:class:`~repro.cim.layers.SpinBayesMvm`) of a
 :class:`~repro.cim.layers.CimNetwork`, and the rest of the teacher
@@ -33,7 +39,12 @@ from repro.cim.compile import stage_from_state, stage_state
 from repro.cim.layers import DigitalFlatten, FrozenNorm, SpinBayesMvm
 from repro.cim.ledger import OpLedger
 from repro.cim.snapshot import DeploymentSnapshot
-from repro.devices import DeviceVariability, VariabilityParams
+from repro.devices import (
+    DefectModel,
+    DefectRates,
+    DeviceVariability,
+    VariabilityParams,
+)
 
 RNG = np.random.default_rng(42)
 X = RNG.standard_normal((9, 20))
@@ -344,3 +355,151 @@ class TestStageModel:
             np.testing.assert_array_equal(
                 rebuilt.forward(X, component=component),
                 layer.forward(X, component=component))
+
+
+# ----------------------------------------------------------------------
+# The shared first read and the node tables
+# ----------------------------------------------------------------------
+SHARED_TEACHERS = {
+    "mlp": lambda: make_subset_vi_mlp(20, (16, 8), 4, seed=3),
+    # A norm→sign readout before the first arbiter layer: the engine
+    # runs a pass-invariant prefix (``_split > 0``), as a sign fold.
+    "leading_periphery": lambda: nn.Sequential(
+        nn.Flatten(), nn.BatchNorm1d(20), nn.SignActivation(),
+        *make_subset_vi_mlp(20, (16, 8), 4, seed=3)),
+}
+
+SHARED_CONFIGS = {
+    "ideal": lambda: CimConfig(seed=6),
+    # Programming variability and stuck-at defects move the stored
+    # conductances, not the readout: every pass still reads one array.
+    "variability_defects": lambda: CimConfig(
+        seed=6,
+        variability=DeviceVariability(
+            VariabilityParams(sigma_r=0.03, sigma_delta=0.03,
+                              sigma_read=0.0),
+            rng=np.random.default_rng(77)),
+        defects=DefectModel(DefectRates(stuck_at_p=0.02,
+                                        stuck_at_ap=0.02),
+                            rng=np.random.default_rng(5))),
+}
+
+
+def _shared_network(teacher="mlp", config="ideal", n_components=8):
+    net = SpinBayesNetwork.from_subset_vi(
+        SHARED_TEACHERS[teacher](), n_components=n_components,
+        n_levels=16, config=SHARED_CONFIGS[config](), seed=33)
+    net.ledger.reset()
+    return net
+
+
+@pytest.fixture
+def banked_reads(monkeypatch):
+    """``(layer, rows in, products, distinct selections)`` of every
+    ``SpinBayesMvm.forward_banked`` call, in order; a product is one
+    ``np.matmul`` call."""
+    reads = []
+    matmuls = [0]
+    real_matmul = np.matmul
+    real = SpinBayesMvm.forward_banked
+
+    def matmul(*args, **kwargs):
+        matmuls[0] += 1
+        return real_matmul(*args, **kwargs)
+
+    def spy(layer, x, selections, rows_per_pass):
+        before = matmuls[0]
+        out = real(layer, x, selections, rows_per_pass)
+        reads.append((layer, x.shape[0], matmuls[0] - before,
+                      np.unique(selections).size))
+        return out
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(SpinBayesMvm, "forward_banked", spy)
+    return reads
+
+
+class TestSharedFirstRead:
+    @pytest.mark.parametrize("teacher", sorted(SHARED_TEACHERS))
+    def test_first_arbiter_stage_multiplies_once_per_component(
+            self, teacher, banked_reads):
+        net = _shared_network(teacher)
+        n_samples = 32
+        net.forward_batched(X, n_samples=n_samples)
+        (layer, rows, products, distinct), *later = banked_reads
+        assert layer is net.network.stages[net._split]
+        assert rows == len(X)
+        assert products == distinct <= min(n_samples, net.n_components)
+        # Later arbiter layers read each pass's own rows.
+        assert [(rows, products) for _, rows, products, _ in later] \
+            == [(n_samples * len(X), n_samples)] * 2
+
+    @pytest.mark.parametrize("config", sorted(SHARED_CONFIGS))
+    @pytest.mark.parametrize("teacher", sorted(SHARED_TEACHERS))
+    @pytest.mark.parametrize("n_components", [2, 3, 8])
+    @pytest.mark.parametrize("n_samples", [1, 2, 5, 32])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_batched_matches_sequential(self, rows, n_samples,
+                                        n_components, teacher, config):
+        a = _shared_network(teacher, config, n_components)
+        b = _shared_network(teacher, config, n_components)
+        assert (b._split > 0) is (teacher == "leading_periphery")
+        # Three choices take the per-select draw, powers of two the
+        # node tables.
+        assert (b._upper_p is None) is (n_components == 3)
+        seq = a.mc_forward(X[:rows], n_samples=n_samples, batched=False)
+        bat = b.mc_forward(X[:rows], n_samples=n_samples)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        for la, lb in zip(a.mvm_layers(), b.mvm_layers()):
+            assert la.last_selected == lb.last_selected
+
+    def test_stage_rejects_other_row_counts(self):
+        layer = _network().mvm_layers()[0]
+        with pytest.raises(ValueError, match="shared rows"):
+            layer.forward_banked(X[:5], np.array([0, 1, 2]), 3)
+
+    def test_non_uniform_weights_with_massless_halves(self):
+        # Layer 0 puts no mass on its lower half, layer 1 none on
+        # components 2, 3, 5 and 7; the node tables then hold 1.0, 0.0
+        # and the 0.5 of a massless interval.
+        snapshot = DeploymentSnapshot.capture(_network())
+        arbiter_stages = [idx for idx, meta
+                          in enumerate(snapshot.manifest["stages"])
+                          if "arbiter" in meta]
+        arrays = dict(snapshot.arrays)
+        weights = ([0.0, 0.0, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4],
+                   [0.5, 0.25, 0.0, 0.0, 0.125, 0.0, 0.125, 0.0])
+        for idx, w in zip(arbiter_stages, weights):
+            arrays[f"s{idx}.arbiter_weights"] = np.array(w)
+
+        def build():
+            return DeploymentSnapshot(snapshot.manifest, arrays).build()
+
+        a, b = build(), build()
+        upper = b._upper_p
+        assert upper[0][1] == 1.0 and upper[0][2] == 0.5
+        assert upper[1][2] == upper[1][6] == upper[1][7] == 0.0
+        assert upper[1][5] == 0.5
+        seq = a.mc_forward(X, n_samples=32, batched=False)
+        bat = b.mc_forward(X, n_samples=32)
+        np.testing.assert_array_equal(seq.samples, bat.samples)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        picks = build()._draw_selections(64)
+        assert set(picks[:, 0]) <= {4, 5, 6, 7}
+        assert set(picks[:, 1]) <= {0, 1, 4, 6}
+
+    def test_restored_perfbench_engine_reads_like_the_live_one(
+            self, tmp_path):
+        # The perfbench trace: 1-4 rows, T alternating 8 and 32.
+        live = _perfbench_network()
+        path = str(tmp_path / "spinbayes")
+        DeploymentSnapshot.capture(live).save(path)
+        restored = DeploymentSnapshot.load(path).build()
+        rng = np.random.default_rng(9)
+        for n_samples in (8, 32, 8, 32):
+            x = rng.standard_normal((int(rng.integers(1, 5)), 256))
+            np.testing.assert_array_equal(
+                restored.forward_batched(x, n_samples=n_samples),
+                live.forward_batched(x, n_samples=n_samples))
+        assert restored.ledger.as_dict() == live.ledger.as_dict()
